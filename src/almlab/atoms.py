@@ -28,9 +28,6 @@ __all__ = [
     "Linear",
     "SmoothQuadratic",
     "CompositeFunction",
-    "atom_value",
-    "atom_prox",
-    "atom_prox_residual",
 ]
 
 # relative slack for ball membership; absorbs the rounding of a projection
@@ -65,6 +62,17 @@ def _check_symmetric_psd(Q, name):
             f"{name} is not positive semidefinite (min eigenvalue {float(eigs[0]):g})"
         )
     return float(eigs[0]), float(eigs[-1])
+
+
+def _ridge_inverse(cache, Q, alpha):
+    """(I + alpha Q)^-1, cached in ``cache`` per step size alpha."""
+    key = float(alpha)
+    inv = cache.get(key)
+    if inv is None:
+        # (I + alpha Q) is SPD for alpha > 0, so the inverse is stable here
+        inv = np.linalg.inv(np.eye(Q.shape[0]) + key * Q)
+        cache[key] = inv
+    return inv
 
 
 class Atom:
@@ -148,13 +156,8 @@ class Quadratic(Atom):
 
     def prox(self, alpha, v):
         v = _vector(v, self.dim, "v")
-        key = float(alpha)
-        inv = self._ridge_cache.get(key)
-        if inv is None:
-            # (I + alpha Q) is SPD for alpha > 0, so the inverse is stable here
-            inv = np.linalg.inv(np.eye(self.dim) + key * self.Q)
-            self._ridge_cache[key] = inv
-        return inv @ (v - key * self.q)
+        inv = _ridge_inverse(self._ridge_cache, self.Q, alpha)
+        return inv @ (v - float(alpha) * self.q)
 
 
 class L1(Atom):
@@ -219,21 +222,14 @@ class Box(Atom):
         return np.clip(v, self.lo, self.hi)
 
 
-class Nonneg(Atom):
-    """Indicator of the nonnegative orthant."""
+class Nonneg(Box):
+    """Indicator of the nonnegative orthant: Box(0, +inf) under its own kind."""
 
     kind = "nonneg"
 
-    def value(self, x):
-        x = _vector(x, self.dim)
-        return 0.0 if np.all(x >= 0.0) else math.inf
-
-    def value_batch(self, X):
-        return np.where(np.all(X >= 0.0, axis=1), 0.0, np.inf)
-
-    def prox(self, alpha, v):
-        v = _vector(v, self.dim, "v")
-        return np.maximum(v, 0.0)
+    def __init__(self, dim):
+        Atom.__init__(self, dim)  # reject a bad dim before numpy sees it
+        super().__init__(np.zeros(self.dim), np.full(self.dim, np.inf))
 
 
 class L2Ball(Atom):
@@ -341,12 +337,7 @@ class SmoothQuadratic:
         """Solve (I + alpha Q) y = rhs, caching the inverse per step size."""
         if self.Q is None:
             return rhs.copy()
-        key = float(alpha)
-        inv = self._ridge_cache.get(key)
-        if inv is None:
-            inv = np.linalg.inv(np.eye(self.dim) + key * self.Q)
-            self._ridge_cache[key] = inv
-        return inv @ rhs
+        return _ridge_inverse(self._ridge_cache, self.Q, alpha) @ rhs
 
 
 class CompositeFunction:
@@ -498,17 +489,3 @@ class CompositeFunction:
         parts = ", ".join(f"{atom!r}@[{a},{b})" for atom, (a, b) in self.blocks)
         return f"CompositeFunction({parts})"
 
-
-def atom_value(f, x) -> float:
-    """Extended-real value of an atom or composite at x (never -inf)."""
-    return f.value(x)
-
-
-def atom_prox(f, alpha, v) -> np.ndarray:
-    """Unique minimizer of f(y) + ||y - v||^2 / (2 alpha), blockwise for composites."""
-    return f.prox(alpha, v)
-
-
-def atom_prox_residual(f, x, grad_smooth, t) -> float:
-    """Prox-gradient residual of f plus a smooth part with gradient grad_smooth at x."""
-    return f.prox_residual(x, grad_smooth, t)

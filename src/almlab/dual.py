@@ -23,7 +23,7 @@ the extrapolated point for its step.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,9 +86,7 @@ class OuterSettings:
     max_outer: int = 500
     schedule: TolSchedule = field(default_factory=TolSchedule.geometric)
     grad_stop: float = 1e-6
-    momentum: bool = False
     inner_max_iter: int = 100_000
-    step_safety: float = 0.99
 
     def __post_init__(self):
         if self.max_outer < 0:
@@ -145,7 +143,6 @@ def dual_gradient(pb, lam, tol=1e-8, x0=None, max_iter=100_000) -> np.ndarray:
 def _run_outer(pb, lam0, settings, accelerated):
     if settings is None:
         settings = OuterSettings()
-    settings = replace(settings, momentum=accelerated)
     if lam0 is None:
         lam = np.zeros(pb.p)
     else:
@@ -161,8 +158,7 @@ def _run_outer(pb, lam0, settings, accelerated):
 
     for k in range(settings.max_outer + 1):
         tol_k = settings.schedule.at(k)
-        inner = InnerSettings(tol=tol_k, max_iter=settings.inner_max_iter,
-                              x0=x_warm, step_safety=settings.step_safety)
+        inner = InnerSettings(tol=tol_k, max_iter=settings.inner_max_iter, x0=x_warm)
         sol = solve_subproblem(pb, lam, inner)
         x_warm = sol.x_plus
         rec = TraceRecord(
@@ -199,7 +195,7 @@ def _run_outer(pb, lam0, settings, accelerated):
                 sol_step = sol
             else:
                 step_inner = InnerSettings(tol=tol_k, max_iter=settings.inner_max_iter,
-                                           x0=x_warm, step_safety=settings.step_safety)
+                                           x0=x_warm)
                 sol_step = solve_subproblem(pb, y, step_inner)
                 x_warm = sol_step.x_plus
             lam_new = y + pb.rho * sol_step.constraint_map

@@ -93,11 +93,11 @@ def _atom_to_dict(atom: Atom) -> dict:
                            "c": float(atom.c)}}
     if isinstance(atom, L1):
         return {"kind": "l1", "params": {"weight": float(atom.weight)}}
+    if isinstance(atom, Nonneg):  # a Box subclass, so it must be tested first
+        return {"kind": "nonneg", "params": {}}
     if isinstance(atom, Box):
         return {"kind": "box", "params": {"lo": _bound_list(atom.lo),
                                           "hi": _bound_list(atom.hi)}}
-    if isinstance(atom, Nonneg):
-        return {"kind": "nonneg", "params": {}}
     if isinstance(atom, L2Ball):
         return {"kind": "l2ball", "params": {"radius": float(atom.radius),
                                              "center": _flist(atom.center)}}
@@ -169,15 +169,21 @@ def problem_from_dict(doc) -> ProblemInstance:
     d = doc["d"]
     if not isinstance(d, int) or d < 1:
         raise ValidationError("d must be a positive integer")
+    if not isinstance(doc["atoms"], list):
+        raise ValidationError("atoms must be a list of atom records")
     blocks = []
     for i, rec in enumerate(doc["atoms"]):
+        if not isinstance(rec, dict):
+            raise ValidationError(f"atom {i} must be an object")
         if "range" not in rec:
             raise ValidationError(f"atom {i} missing field 'range'")
-        lo, hi = rec["range"]
-        if not (isinstance(lo, int) and isinstance(hi, int) and 0 <= lo < hi <= d):
+        rng = rec["range"]
+        if not (isinstance(rng, list) and len(rng) == 2
+                and all(isinstance(t, int) for t in rng) and 0 <= rng[0] < rng[1] <= d):
             raise ValidationError(
                 f"atom {i} range must be an integer window [lo, hi) inside [0, {d})"
             )
+        lo, hi = rng
         try:
             atom = _atom_from_dict(rec, hi - lo)
         except KeyError as exc:
@@ -196,6 +202,8 @@ def problem_from_dict(doc) -> ProblemInstance:
     A = np.asarray(doc["A"], dtype=float)
     if A.ndim != 2:
         raise ValidationError("A must be an array of equal-length rows")
+    if doc["p"] != A.shape[0]:
+        raise ValidationError(f"p is {doc['p']!r} but A has {A.shape[0]} rows")
     witness = doc.get("witness_x0")
     lam_star = doc.get("lambda_star")
     return ProblemInstance(

@@ -10,7 +10,7 @@ function-value restart: whenever the accelerated candidate increases the
 objective, the step falls back to the plain proximal-gradient point from the
 previous iterate, which makes the objective sequence nonincreasing.
 
-The step is fixed at step_safety / L with L = rho * sigma_max(A)^2 plus the
+The step is fixed at 0.99 / L with L = rho * sigma_max(A)^2 plus the
 curvature of the quadratic pieces; no backtracking, so runs are deterministic.
 Convergence is declared on the prox-gradient residual at the returned iterate
 (see CompositeFunction.prox_residual); the tolerance is therefore tied to the
@@ -29,11 +29,11 @@ __all__ = [
     "InnerSettings",
     "InnerSolution",
     "DivergenceDetected",
-    "smooth_part_gradient",
     "solve_subproblem",
 ]
 
 _DIVERGE_FACTOR = 1e12
+_STEP_SAFETY = 0.99
 
 
 class DivergenceDetected(RuntimeError):
@@ -45,22 +45,19 @@ class DivergenceDetected(RuntimeError):
 class InnerSettings:
     """Settings for one subproblem solve.
 
-    tol is the prox-gradient residual target, x0 the warm start (zeros when
-    None) and step_safety in (0, 1] scales the 1/L step.
+    tol is the prox-gradient residual target and x0 the warm start (zeros
+    when None).
     """
 
     tol: float
     max_iter: int = 100_000
     x0: np.ndarray | None = None
-    step_safety: float = 0.99
 
     def __post_init__(self):
         if not (self.tol > 0.0):
             raise ValidationError("inner tolerance must be positive")
         if self.max_iter < 1:
             raise ValidationError("inner max_iter must be at least 1")
-        if not (0.0 < self.step_safety <= 1.0):
-            raise ValidationError("step_safety must lie in (0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,14 +79,8 @@ class InnerSolution:
     step: float
 
 
-def smooth_part_gradient(pb, lam, x) -> np.ndarray:
-    """Gradient of the smooth part: A'lam + rho A'(Ax - b) + quadratic pieces."""
-    lam = _vector(lam, pb.p, "lam")
-    x = _vector(x, pb.d)
-    return _smooth_gradient(pb, x, pb.A.T @ lam)
-
-
 def _smooth_gradient(pb, x, aT_lam):
+    """Gradient of the smooth part: A'lam + rho A'(Ax - b) + quadratic pieces."""
     return aT_lam + pb.rho * (pb.A.T @ (pb.A @ x - pb.b)) + pb.f.quadratic_gradient(x)
 
 
@@ -104,7 +95,7 @@ def solve_subproblem(pb, lam, settings) -> InnerSolution:
     lam = _vector(lam, pb.p, "lam")
     f_ns = pb.f.nonsmooth_part()
     curv = pb.rho * pb.operator_norm_sq() + pb.f.quadratic_curvature()
-    t = settings.step_safety / curv if curv > 0.0 else settings.step_safety
+    t = _STEP_SAFETY / curv if curv > 0.0 else _STEP_SAFETY
 
     if settings.x0 is not None:
         x = _vector(settings.x0, pb.d, "x0").copy()

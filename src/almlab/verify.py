@@ -39,10 +39,15 @@ __all__ = [
 
 _MAX_GRID_TOTAL = 10_000_000
 _MAX_BRUTE_DIM = 4
+_REFINE_ROUNDS = 3
+_INNER_MAX_ITER = 200_000
+_MIN_DIST_FRAC = 1e-3
+# resolution the default identity grids meet on boxes of half-width 10
+_GRID_BUDGET = 1e-3
+_INIT_BOX = 5.0
 
-# default points per axis for the identity checks, keyed by dimension
-_W_POINTS = {1: 2001, 2: 151, 3: 41}
-_X_POINTS = {1: 2001, 2: 151, 3: 41}
+# default points per axis for the identity grids (w and x), keyed by dimension
+_GRID_POINTS = {1: 2001, 2: 151, 3: 41}
 
 
 @dataclass(frozen=True)
@@ -104,7 +109,7 @@ class GridSpec:
     @staticmethod
     def cube(ndim, half_width=10.0, points_per_axis=None):
         if points_per_axis is None:
-            points_per_axis = _W_POINTS.get(ndim, 21)
+            points_per_axis = _GRID_POINTS.get(ndim, 21)
         return GridSpec(-half_width * np.ones(ndim), half_width * np.ones(ndim),
                         points_per_axis)
 
@@ -119,13 +124,12 @@ def _grid_points(grid):
     return _grid_chunk(grid.axes(), 0, grid.total)
 
 
-def brute_min(objective, grid, refine_rounds=3):
+def brute_min(objective, grid):
     """Exhaustive grid minimization with local refinement.
 
     objective must accept an (N, n) batch of points and return N values
-    (+inf allowed).  After the full scan, refine_rounds rounds re-grid a
-    5-point-per-axis neighborhood of the incumbent with halved spacing,
-    clipped to the original box.  Supports n <= 4.
+    (+inf allowed).  The full scan is followed by :func:`_refine`.
+    Supports n <= 4.
 
     Returns (argmin, min value).
     """
@@ -145,9 +149,20 @@ def brute_min(objective, grid, refine_rounds=3):
             best_x = pts[i].copy()
     if best_x is None or not math.isfinite(best_val):
         raise ValidationError("objective is +inf on the entire grid")
+    return _refine(objective, grid, best_x, best_val)
+
+
+def _refine(objective, grid, best_x, best_val):
+    """Local refinement of a grid incumbent (best_x, best_val = objective there).
+
+    Each of three rounds re-grids a 5-point-per-axis neighborhood of the
+    incumbent at the current spacing, clipped to the grid box, then halves
+    the spacing.  Returns the improved (argmin, min value).
+    """
+    n = grid.ndim
     offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-    spacing = grid.spacing().copy()
-    for _ in range(refine_rounds):
+    spacing = grid.spacing()
+    for _ in range(_REFINE_ROUNDS):
         local_axes = [
             np.clip(best_x[j] + spacing[j] * offsets, grid.lo[j], grid.hi[j])
             for j in range(n)
@@ -179,11 +194,11 @@ def _ball_point(rng, p, radius):
     return (radius * u / n) * g
 
 
-def _solve(pb, lam, tol, x0, max_iter):
-    sol = solve_subproblem(pb, lam, InnerSettings(tol=tol, max_iter=max_iter, x0=x0))
+def _solve(pb, lam, tol, x0):
+    sol = solve_subproblem(pb, lam, InnerSettings(tol=tol, max_iter=_INNER_MAX_ITER, x0=x0))
     if not sol.converged:
         raise RuntimeError(
-            f"inner solve did not reach tolerance {tol:g} within {max_iter} iterations"
+            f"inner solve did not reach tolerance {tol:g} within {_INNER_MAX_ITER} iterations"
         )
     return sol
 
@@ -194,17 +209,17 @@ def _top_witnesses(entries, fmt, count=5):
     return [fmt(entries[i][1]) for i in order[:count]]
 
 
-def check_smoothness(pb, radius=10.0, n_pairs=200, tol_inner=1e-8, seed=0,
-                     inner_max_iter=200_000, min_dist_frac=1e-3) -> Certificate:
+def check_smoothness(pb, radius=10.0, n_pairs=200, tol_inner=1e-8,
+                     seed=0) -> Certificate:
     """Sampled gradient-Lipschitz check: the dual gradient must be 1/rho-Lipschitz.
 
-    Pairs closer than min_dist_frac * radius are rejected and redrawn, so a
+    Pairs closer than 1e-3 * radius are rejected and redrawn, so a
     degenerate pair never enters the ratio.  The threshold allows each of the
     two gradients an inner-accuracy budget of 2 * tol_inner, divided by the
     smallest accepted pair distance.
     """
     rng = np.random.default_rng(seed)
-    min_dist = min_dist_frac * radius
+    min_dist = _MIN_DIST_FRAC * radius
     x_warm = None
     entries = []
     realized_min = math.inf
@@ -217,9 +232,9 @@ def check_smoothness(pb, radius=10.0, n_pairs=200, tol_inner=1e-8, seed=0,
                 break
         else:
             raise ValidationError("could not sample a pair above the distance floor")
-        s1 = _solve(pb, l1, tol_inner, x_warm, inner_max_iter)
+        s1 = _solve(pb, l1, tol_inner, x_warm)
         x_warm = s1.x_plus
-        s2 = _solve(pb, l2, tol_inner, x_warm, inner_max_iter)
+        s2 = _solve(pb, l2, tol_inner, x_warm)
         x_warm = s2.x_plus
         ratio = float(np.linalg.norm(s1.constraint_map - s2.constraint_map)) / dist
         realized_min = min(realized_min, dist)
@@ -244,8 +259,7 @@ def check_smoothness(pb, radius=10.0, n_pairs=200, tol_inner=1e-8, seed=0,
     )
 
 
-def check_gradient_fd(pb, lam, h=1e-4, tol_inner=1e-8, inner_max_iter=200_000,
-                      seed=0) -> Certificate:
+def check_gradient_fd(pb, lam, h=1e-4, tol_inner=1e-8) -> Certificate:
     """Central finite differences of the dual value against the dual gradient.
 
     The threshold 10 * (h^2 + tol_inner / h) covers the second-order
@@ -257,16 +271,16 @@ def check_gradient_fd(pb, lam, h=1e-4, tol_inner=1e-8, inner_max_iter=200_000,
     if not (h > 0.0):
         raise ValidationError("finite-difference step h must be positive")
     lam = _vector(lam, pb.p, "lam")
-    base = _solve(pb, lam, tol_inner, None, inner_max_iter)
+    base = _solve(pb, lam, tol_inner, None)
     x_warm = base.x_plus
     grad = base.constraint_map
     fd = np.empty(pb.p)
     for i in range(pb.p):
         e = np.zeros(pb.p)
         e[i] = h
-        sp = _solve(pb, lam + e, tol_inner, x_warm, inner_max_iter)
+        sp = _solve(pb, lam + e, tol_inner, x_warm)
         x_warm = sp.x_plus
-        sm = _solve(pb, lam - e, tol_inner, x_warm, inner_max_iter)
+        sm = _solve(pb, lam - e, tol_inner, x_warm)
         x_warm = sm.x_plus
         fd[i] = (sp.obj_value - sm.obj_value) / (2.0 * h)
     err = np.abs(fd - grad)
@@ -276,21 +290,19 @@ def check_gradient_fd(pb, lam, h=1e-4, tol_inner=1e-8, inner_max_iter=200_000,
     witnesses = [f"coordinate {worst_i}: fd={fd[worst_i]:.9g} grad={grad[worst_i]:.9g}"]
     return Certificate(
         "gradient_fd", pb.name, 1, worst, float(threshold), worst <= threshold,
-        witnesses, seed,
+        witnesses, 0,
         details={"h": h, "tol_inner": tol_inner, "worst_coordinate": worst_i},
     )
 
 
 def check_gradient_fd_sampled(pb, n_samples=50, radius=10.0, h=1e-4,
-                              tol_inner=1e-8, seed=0,
-                              inner_max_iter=200_000) -> Certificate:
+                              tol_inner=1e-8, seed=0) -> Certificate:
     """check_gradient_fd aggregated over multipliers sampled from a ball."""
     rng = np.random.default_rng(seed)
     entries = []
     for i in range(n_samples):
         lam = _ball_point(rng, pb.p, radius)
-        cert = check_gradient_fd(pb, lam, h=h, tol_inner=tol_inner,
-                                 inner_max_iter=inner_max_iter, seed=seed)
+        cert = check_gradient_fd(pb, lam, h=h, tol_inner=tol_inner)
         entries.append((cert.worst_violation, (i, cert.worst_violation, lam)))
     worst = max(score for score, _ in entries)
     threshold = 10.0 * (h * h + tol_inner / h)
@@ -305,8 +317,8 @@ def check_gradient_fd_sampled(pb, n_samples=50, radius=10.0, h=1e-4,
     )
 
 
-def check_concavity(pb, radius=10.0, n_pairs=50, tol_inner=1e-8, seed=0,
-                    inner_max_iter=200_000) -> Certificate:
+def check_concavity(pb, radius=10.0, n_pairs=50, tol_inner=1e-8,
+                    seed=0) -> Certificate:
     """Midpoint concavity: (phi(l1) + phi(l2))/2 - phi((l1+l2)/2) <= 0 up to
     three dual-value estimation budgets."""
     rng = np.random.default_rng(seed)
@@ -315,11 +327,11 @@ def check_concavity(pb, radius=10.0, n_pairs=50, tol_inner=1e-8, seed=0,
     for i in range(n_pairs):
         l1 = _ball_point(rng, pb.p, radius)
         l2 = _ball_point(rng, pb.p, radius)
-        s1 = _solve(pb, l1, tol_inner, x_warm, inner_max_iter)
+        s1 = _solve(pb, l1, tol_inner, x_warm)
         x_warm = s1.x_plus
-        s2 = _solve(pb, l2, tol_inner, x_warm, inner_max_iter)
+        s2 = _solve(pb, l2, tol_inner, x_warm)
         x_warm = s2.x_plus
-        sm = _solve(pb, 0.5 * (l1 + l2), tol_inner, x_warm, inner_max_iter)
+        sm = _solve(pb, 0.5 * (l1 + l2), tol_inner, x_warm)
         x_warm = sm.x_plus
         gap = 0.5 * (s1.obj_value + s2.obj_value) - sm.obj_value
         entries.append((gap, (i, gap)))
@@ -348,6 +360,17 @@ def _pd_quadratic(pb):
     return None
 
 
+def _f_on_grid(pb, x_grid):
+    """The x grid (default: the cube for pb.d), its points X and f(X)."""
+    if x_grid is None:
+        x_grid = GridSpec.cube(pb.d)
+    X = _grid_points(x_grid)
+    fX = pb.f.value_batch(X)
+    if not np.any(np.isfinite(fX)):
+        raise ValidationError("f is +inf on the entire x grid")
+    return x_grid, X, fX
+
+
 class _StandardDualOracle:
     """phi(w) = inf_x [f(x) + w'(Ax - b)], by closed form for a positive-
     definite quadratic f, otherwise by scanning an x grid (d <= 3).
@@ -362,20 +385,13 @@ class _StandardDualOracle:
         self.pb = pb
         self.atom = _pd_quadratic(pb)
         if self.atom is not None:
-            self.X = None
             return
         if pb.d > 3:
             raise ValidationError(
                 "grid dual oracle needs d <= 3 unless f is a positive-definite quadratic"
             )
-        if x_grid is None:
-            x_grid = GridSpec.cube(pb.d, 10.0, _X_POINTS[pb.d])
-        self.x_grid = x_grid
-        self.X = _grid_points(x_grid)
-        self.fX = pb.f.value_batch(self.X)
-        if not np.any(np.isfinite(self.fX)):
-            raise ValidationError("f is +inf on the entire x grid")
-        self.R = self.X @ pb.A.T - pb.b
+        _, X, self.fX = _f_on_grid(pb, x_grid)
+        self.R = X @ pb.A.T - pb.b
 
     def batch(self, W) -> np.ndarray:
         if self.atom is not None:
@@ -391,75 +407,58 @@ class _StandardDualOracle:
             out[start:start + chunk.shape[0]] = np.min(vals, axis=1)
         return out
 
-    def single(self, w) -> float:
-        return float(self.batch(w[None, :])[0])
 
-
-def check_moreau_identity(pb, lam_samples=None, w_grid=None, x_grid=None,
-                          tol_inner=1e-8, grid_budget=1e-3,
-                          inner_max_iter=200_000, neg_inf_floor=-1e9,
-                          seed=0) -> Certificate:
+def check_moreau_identity(pb, w_grid=None, x_grid=None, tol_inner=1e-8,
+                          neg_inf_floor=-1e9, seed=0) -> Certificate:
     """Moreau-envelope form of the augmented dual.
 
     With phi the plain dual, the envelope  min_w [-phi(w) + ||w-lam||^2/(2 rho)]
-    must equal minus the augmented dual value at lam.  The envelope is taken
-    by brute force over w_grid (p <= 3) with three halved-spacing refinement
-    rounds around the incumbent; phi comes from an independent closed-form or
-    x-grid oracle.  Grid points with phi(w) = -inf (detected as values below
-    neg_inf_floor) are skipped and counted.
+    must equal minus the augmented dual value at each lam of the integer
+    lattice {-3..3}^p.  The envelope is taken by brute force over w_grid
+    (p <= 3), refined around the incumbent by :func:`_refine`; phi comes from
+    an independent closed-form or x-grid oracle.  Grid points with
+    phi(w) = -inf (detected as values below neg_inf_floor) are skipped and
+    counted.
 
-    The threshold is grid_budget + 3 * tol_inner; grid_budget is the
-    resolution budget the supplied grids are expected to meet (the defaults
-    meet 1e-3 on boxes of half-width 10), not a per-instance error bound.
+    The threshold is 1e-3 + 3 * tol_inner; 1e-3 is the resolution budget the
+    default grids meet on boxes of half-width 10, not a per-instance error
+    bound, so a coarser w_grid or x_grid may fail honestly.
     """
     if pb.p > 3:
         raise ValidationError("moreau check needs p <= 3")
     oracle = _StandardDualOracle(pb, x_grid)
-    if lam_samples is None:
-        lam_samples = default_lambda_grid(pb.p)
-    lam_samples = np.atleast_2d(np.asarray(lam_samples, dtype=float))
+    lam_samples = default_lambda_grid(pb.p)
     if w_grid is None:
-        w_grid = GridSpec.cube(pb.p, 10.0, _W_POINTS[pb.p])
+        w_grid = GridSpec.cube(pb.p)
+
+    def neg_phi(P):
+        phi = oracle.batch(P)
+        return np.where(phi < neg_inf_floor, np.inf, -phi)
 
     W = _grid_points(w_grid)
-    phiW = oracle.batch(W)
-    skip_mask = phiW < neg_inf_floor
-    skipped = int(np.sum(skip_mask))
-    negphi = np.where(skip_mask, np.inf, -phiW)
+    negphi = neg_phi(W)
+    skipped = int(np.sum(np.isposinf(negphi)))
     if not np.any(np.isfinite(negphi)):
         raise ValidationError("plain dual is -inf on the entire w grid")
 
     inv_two_rho = 1.0 / (2.0 * pb.rho)
-    offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
     x_warm = None
     entries = []
-    for idx in range(lam_samples.shape[0]):
-        lam = lam_samples[idx]
-        vals = negphi + np.sum((W - lam) ** 2, axis=1) * inv_two_rho
+    for idx, lam in enumerate(lam_samples):
+        def envelope(P, negphi_P):
+            return negphi_P + np.sum((P - lam) ** 2, axis=1) * inv_two_rho
+
+        vals = envelope(W, negphi)
         i = int(np.argmin(vals))
-        best_w, best_val = W[i].copy(), float(vals[i])
-        spacing = w_grid.spacing().copy()
-        for _ in range(3):
-            local_axes = [
-                np.clip(best_w[j] + spacing[j] * offsets, w_grid.lo[j], w_grid.hi[j])
-                for j in range(pb.p)
-            ]
-            pts = _grid_chunk(local_axes, 0, 5 ** pb.p)
-            phis = oracle.batch(pts)
-            cand = np.where(phis < neg_inf_floor, np.inf, -phis) \
-                + np.sum((pts - lam) ** 2, axis=1) * inv_two_rho
-            j = int(np.argmin(cand))
-            if cand[j] < best_val:
-                best_val = float(cand[j])
-                best_w = pts[j].copy()
-            spacing *= 0.5
-        sol = _solve(pb, lam, tol_inner, x_warm, inner_max_iter)
+        _, best_val = _refine(lambda P: envelope(P, neg_phi(P)), w_grid,
+                              W[i], float(vals[i]))
+        sol = _solve(pb, lam, tol_inner, x_warm)
         x_warm = sol.x_plus
         violation = abs(best_val + sol.obj_value)
         entries.append((violation, (idx, violation, lam)))
 
     worst = max(score for score, _ in entries)
-    threshold = grid_budget + 3.0 * tol_inner
+    threshold = _GRID_BUDGET + 3.0 * tol_inner
     witnesses = _top_witnesses(
         entries,
         lambda w: f"lam={np.array2string(w[2], precision=4)}: |envelope + dual|={w[1]:.9g}",
@@ -468,7 +467,7 @@ def check_moreau_identity(pb, lam_samples=None, w_grid=None, x_grid=None,
         "moreau", pb.name, lam_samples.shape[0], float(worst), float(threshold),
         worst <= threshold, witnesses, seed,
         details={
-            "grid_budget": grid_budget,
+            "grid_budget": _GRID_BUDGET,
             "inner_term": 3.0 * tol_inner,
             "skipped_neg_inf": skipped,
             "w_points_per_axis": w_grid.points_per_axis,
@@ -477,24 +476,22 @@ def check_moreau_identity(pb, lam_samples=None, w_grid=None, x_grid=None,
     )
 
 
-def check_conjugate_identity(pb, lam_samples=None, x_grid=None, tol_inner=1e-8,
-                             grid_budget=1e-3, inner_max_iter=200_000,
-                             seed=0) -> Certificate:
+def check_conjugate_identity(pb, x_grid=None, tol_inner=1e-8, seed=0) -> Certificate:
     """Conjugate form of the augmented dual.
 
     With f_rho = f + (rho/2)||A . - b||^2, the augmented dual value must equal
-    -f_rho*(-A'lam) - lam'b.  The conjugate is a grid supremum over x (d <= 3,
-    three refinement rounds), or closed form when f is a positive-definite
-    quadratic.  Threshold as in check_moreau_identity.
+    -f_rho*(-A'lam) - lam'b at each lam of the integer lattice {-3..3}^p.
+    The conjugate is closed form when f is a positive-definite quadratic;
+    otherwise f_rho*(y) = -min_x [f_rho(x) - x'y], minimized over x_grid
+    (d <= 3) and refined by :func:`_refine`.  Threshold as in
+    check_moreau_identity.
     """
     atom = _pd_quadratic(pb)
     if atom is None and pb.d > 3:
         raise ValidationError(
             "conjugate check needs d <= 3 unless f is a positive-definite quadratic"
         )
-    if lam_samples is None:
-        lam_samples = default_lambda_grid(pb.p)
-    lam_samples = np.atleast_2d(np.asarray(lam_samples, dtype=float))
+    lam_samples = default_lambda_grid(pb.p)
 
     if atom is not None:
         P = atom.Q + pb.rho * (pb.A.T @ pb.A)
@@ -507,55 +504,33 @@ def check_conjugate_identity(pb, lam_samples=None, x_grid=None, tol_inner=1e-8,
 
         x_points = None
     else:
-        if x_grid is None:
-            x_grid = GridSpec.cube(pb.d, 10.0, _X_POINTS[pb.d])
-        X = _grid_points(x_grid)
-        fX = pb.f.value_batch(X)
-        if not np.any(np.isfinite(fX)):
-            raise ValidationError("f is +inf on the entire x grid")
-        frhoX = fX + 0.5 * pb.rho * np.sum((X @ pb.A.T - pb.b) ** 2, axis=1)
-        offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+        x_grid, X, fX = _f_on_grid(pb, x_grid)
 
-        def f_rho_single(x):
-            val = pb.f.value(x)
-            if math.isinf(val):
-                return math.inf
-            rvec = pb.A @ x - pb.b
-            return val + 0.5 * pb.rho * float(rvec @ rvec)
+        def penalty(P):
+            return 0.5 * pb.rho * np.sum((P @ pb.A.T - pb.b) ** 2, axis=1)
+
+        frhoX = fX + penalty(X)
 
         def f_rho_star(y):
-            vals = X @ y - frhoX
-            i = int(np.argmax(vals))
-            best_x, best = X[i].copy(), float(vals[i])
-            spacing = x_grid.spacing().copy()
-            for _ in range(3):
-                local_axes = [
-                    np.clip(best_x[j] + spacing[j] * offsets, x_grid.lo[j], x_grid.hi[j])
-                    for j in range(pb.d)
-                ]
-                pts = _grid_chunk(local_axes, 0, 5 ** pb.d)
-                cand = pts @ y - np.array([f_rho_single(pt) for pt in pts])
-                jj = int(np.argmax(cand))
-                if cand[jj] > best:
-                    best = float(cand[jj])
-                    best_x = pts[jj].copy()
-                spacing *= 0.5
-            return best
+            vals = frhoX - X @ y
+            i = int(np.argmin(vals))
+            _, best = _refine(lambda P: pb.f.value_batch(P) + penalty(P) - P @ y,
+                              x_grid, X[i], float(vals[i]))
+            return -best
 
         x_points = x_grid.points_per_axis
 
     x_warm = None
     entries = []
-    for idx in range(lam_samples.shape[0]):
-        lam = lam_samples[idx]
-        sol = _solve(pb, lam, tol_inner, x_warm, inner_max_iter)
+    for idx, lam in enumerate(lam_samples):
+        sol = _solve(pb, lam, tol_inner, x_warm)
         x_warm = sol.x_plus
         conj = f_rho_star(-(pb.A.T @ lam))
         violation = abs(sol.obj_value + conj + float(lam @ pb.b))
         entries.append((violation, (idx, violation, lam)))
 
     worst = max(score for score, _ in entries)
-    threshold = grid_budget + 3.0 * tol_inner
+    threshold = _GRID_BUDGET + 3.0 * tol_inner
     witnesses = _top_witnesses(
         entries,
         lambda w: f"lam={np.array2string(w[2], precision=4)}: |dual + conjugate|={w[1]:.9g}",
@@ -564,7 +539,7 @@ def check_conjugate_identity(pb, lam_samples=None, x_grid=None, tol_inner=1e-8,
         "conjugate", pb.name, lam_samples.shape[0], float(worst), float(threshold),
         worst <= threshold, witnesses, seed,
         details={
-            "grid_budget": grid_budget,
+            "grid_budget": _GRID_BUDGET,
             "inner_term": 3.0 * tol_inner,
             "closed_form_conjugate": atom is not None,
             "x_points_per_axis": x_points,
@@ -572,8 +547,8 @@ def check_conjugate_identity(pb, lam_samples=None, x_grid=None, tol_inner=1e-8,
     )
 
 
-def check_gradient_invariance(pb, lam=None, n_inits=10, tol_inner=1e-8, seed=0,
-                              init_box=5.0, inner_max_iter=200_000) -> Certificate:
+def check_gradient_invariance(pb, lam=None, n_inits=10, tol_inner=1e-8,
+                              seed=0) -> Certificate:
     """A x+ - b must not depend on which inner minimizer the solver lands on.
 
     Runs the inner solve from n_inits random starts (no warm starting) and
@@ -587,8 +562,8 @@ def check_gradient_invariance(pb, lam=None, n_inits=10, tol_inner=1e-8, seed=0,
     rng = np.random.default_rng(seed)
     sols = []
     for _ in range(n_inits):
-        x0 = rng.uniform(-init_box, init_box, pb.d)
-        sols.append(_solve(pb, lam, tol_inner, x0, inner_max_iter))
+        x0 = rng.uniform(-_INIT_BOX, _INIT_BOX, pb.d)
+        sols.append(_solve(pb, lam, tol_inner, x0))
     entries = []
     x_spread = 0.0
     for i in range(n_inits):
@@ -606,5 +581,5 @@ def check_gradient_invariance(pb, lam=None, n_inits=10, tol_inner=1e-8, seed=0,
     return Certificate(
         "invariance", pb.name, n_inits, float(worst), float(threshold),
         worst <= threshold, witnesses, seed,
-        details={"x_spread": x_spread, "tol_inner": tol_inner, "init_box": init_box},
+        details={"x_spread": x_spread, "tol_inner": tol_inner, "init_box": _INIT_BOX},
     )

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import almlab as al
-from almlab.atoms import atom_prox, atom_prox_residual, atom_value
 
 
 def scalar_prox_oracle(atom, alpha, v, lo=-20.0, hi=20.0, n=2_000_001):
@@ -31,25 +30,39 @@ def sample_atoms():
     ]
 
 
+def test_every_atom_kind_round_trips_through_problem_dict():
+    blocks, start = [], 0
+    for _, atom in sample_atoms():
+        blocks.append((atom, (start, start + atom.dim)))
+        start += atom.dim
+    pb = al.ProblemInstance(al.CompositeFunction(blocks), np.ones((1, start)),
+                            np.zeros(1), 1.0)
+    doc = al.problem_to_dict(pb)
+    kinds = [kind for kind, _ in sample_atoms()]
+    assert [rec["kind"] for rec in doc["atoms"]] == kinds
+    back = al.problem_from_dict(doc)
+    assert [atom.kind for atom, _ in back.f.blocks] == kinds
+
+
 # ---------------------------------------------------------------------------
 # values
 
 
 def test_l1_value_example():
     f = al.CompositeFunction.single(al.L1(2))
-    assert atom_value(f, np.array([1.0, -2.0])) == 3.0
+    assert f.value(np.array([1.0, -2.0])) == 3.0
 
 
 def test_box_value_examples():
     box = al.Box(np.zeros(1), np.ones(1))
     f = al.CompositeFunction.single(box)
-    assert atom_value(f, np.array([0.5])) == 0.0
-    assert atom_value(f, np.array([2.0])) == math.inf
+    assert f.value(np.array([0.5])) == 0.0
+    assert f.value(np.array([2.0])) == math.inf
 
 
 def test_quadratic_value_example():
     f = al.CompositeFunction.single(al.Quadratic(np.eye(2)))
-    assert atom_value(f, np.array([1.0, 1.0])) == 1.0
+    assert f.value(np.array([1.0, 1.0])) == 1.0
 
 
 def test_values_never_negative_infinity():
@@ -80,7 +93,7 @@ def test_value_batch_matches_value_loop():
 def test_l1_prox_example():
     # grid minimization of |y| + (y-2)^2 gives 1.5 at alpha = 0.5
     f = al.CompositeFunction.single(al.L1(1))
-    p = atom_prox(f, 0.5, np.array([2.0]))
+    p = f.prox(0.5, np.array([2.0]))
     assert p[0] == pytest.approx(1.5, abs=1e-12)
     oracle = scalar_prox_oracle(al.L1(1), 0.5, 2.0)
     assert p[0] == pytest.approx(oracle, abs=2e-5)
@@ -88,14 +101,14 @@ def test_l1_prox_example():
 
 def test_nonneg_prox_example():
     f = al.CompositeFunction.single(al.Nonneg(2))
-    p = atom_prox(f, 3.7, np.array([-3.0, 2.0]))
+    p = f.prox(3.7, np.array([-3.0, 2.0]))
     assert np.array_equal(p, np.array([0.0, 2.0]))
 
 
 def test_quadratic_prox_example():
     # (I + alpha Q) y = v with Q = I, alpha = 1, v = 4 -> y = 2
     f = al.CompositeFunction.single(al.Quadratic(np.eye(1)))
-    p = atom_prox(f, 1.0, np.array([4.0]))
+    p = f.prox(1.0, np.array([4.0]))
     assert p[0] == pytest.approx(2.0, abs=1e-12)
 
 
@@ -155,12 +168,12 @@ def test_prox_output_stays_in_domain():
 
 def test_prox_residual_examples():
     z = al.CompositeFunction.single(al.Zero(2))
-    assert atom_prox_residual(z, np.array([1.0, -2.0]), np.zeros(2), 1.0) == 0.0
+    assert z.prox_residual(np.array([1.0, -2.0]), np.zeros(2), 1.0) == 0.0
     nn = al.CompositeFunction.single(al.Nonneg(1))
-    assert atom_prox_residual(nn, np.zeros(1), np.array([5.0]), 1.0) == 0.0
+    assert nn.prox_residual(np.zeros(1), np.array([5.0]), 1.0) == 0.0
     l1 = al.CompositeFunction.single(al.L1(1))
     # soft-threshold of 0.5 by t*weight = 1 is 0, so the defect is 0.5
-    r = atom_prox_residual(l1, np.array([0.5]), np.zeros(1), 1.0)
+    r = l1.prox_residual(np.array([0.5]), np.zeros(1), 1.0)
     assert r == pytest.approx(0.5, abs=1e-12)
 
 
@@ -315,7 +328,7 @@ def test_atom_validation_errors():
     with pytest.raises(al.ValidationError, match="length"):
         al.Zero(3).value(np.zeros(2))
     with pytest.raises(al.ValidationError, match="alpha"):
-        atom_prox(al.CompositeFunction.single(al.L1(2)), 0.0, np.zeros(2))
+        al.CompositeFunction.single(al.L1(2)).prox(0.0, np.zeros(2))
 
 
 def test_psd_tolerance_accepts_rounding():

@@ -166,6 +166,22 @@ def test_solve_unknown_atom_kind_exits_1(tmp_path, qp_file):
     assert main(["solve", str(path)]) == 1
 
 
+@pytest.mark.parametrize("mutate, message", [
+    (lambda doc: doc.update(p=7), "p is 7 but A has 1 rows"),
+    (lambda doc: doc.update(atoms={"kind": "zero"}), "atoms must be a list"),
+    (lambda doc: doc["atoms"].__setitem__(0, "zero"), "atom 0 must be an object"),
+    (lambda doc: doc["atoms"][0].update(range=2), "atom 0 range must be"),
+], ids=["p_mismatch", "atoms_not_list", "atom_not_object", "range_not_pair"])
+def test_solve_malformed_problem_exits_1(tmp_path, qp_file, capsys, mutate, message):
+    with open(qp_file) as fh:
+        doc = json.load(fh)
+    mutate(doc)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify
 
