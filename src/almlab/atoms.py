@@ -1,6 +1,7 @@
 """Catalog of closed proper convex functions with exact value and prox oracles.
 
 Atoms are immutable after construction and safe to share across threads.
+Their parameters must be finite; only box bounds may be infinite.
 Extended-real values are represented directly by ``math.inf``; an atom value
 may be ``+inf`` but never ``-inf``.  Proximal steps are exact closed forms,
 except the quadratic atom, which solves a ridge system and caches the
@@ -49,10 +50,17 @@ def _vector(x, dim=None, name="x") -> np.ndarray:
     return arr
 
 
+def _require_finite(value, name):
+    """Reject NaN and infinite entries of a number or array from outside."""
+    if not np.all(np.isfinite(value)):
+        raise ValidationError(f"{name} must be finite")
+
+
 def _check_symmetric_psd(Q, name):
-    """Validate symmetry (within 1e-12) and PSD (min eig >= -1e-10 * ||Q||)."""
+    """Validate finiteness, symmetry (within 1e-12) and PSD (min eig >= -1e-10 * ||Q||)."""
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValidationError(f"{name} must be a square matrix")
+    _require_finite(Q, name)
     if Q.shape[0] > 0 and np.max(np.abs(Q - Q.T)) > 1e-12:
         raise ValidationError(f"{name} is not symmetric within 1e-12")
     eigs = np.linalg.eigvalsh(Q)
@@ -134,6 +142,8 @@ class Quadratic(Atom):
         self.Q = Q
         self.q = _vector(q, self.dim, "q") if q is not None else np.zeros(self.dim)
         self.c = float(c)
+        _require_finite(self.q, "quadratic q")
+        _require_finite(self.c, "quadratic c")
         self.Q.setflags(write=False)
         self.q.setflags(write=False)
         self._ridge_cache = {}
@@ -167,8 +177,8 @@ class L1(Atom):
 
     def __init__(self, dim, weight=1.0):
         super().__init__(dim)
-        if not (float(weight) >= 0.0):
-            raise ValidationError("l1 weight must be nonnegative")
+        if not (0.0 <= float(weight) < math.inf):
+            raise ValidationError("l1 weight must be nonnegative and finite")
         self.weight = float(weight)
 
     def value(self, x):
@@ -199,6 +209,8 @@ class Box(Atom):
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValidationError("box bounds must be vectors of equal length")
         super().__init__(lo.shape[0])
+        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
+            raise ValidationError("box bounds must not be NaN")
         if np.any(lo > hi):
             raise ValidationError("box requires lo <= hi componentwise")
         if np.any(lo == np.inf) or np.any(hi == -np.inf):
@@ -240,8 +252,9 @@ class L2Ball(Atom):
     def __init__(self, radius, center):
         center = _vector(center, None, "center")
         super().__init__(center.shape[0])
-        if not (float(radius) > 0.0):
-            raise ValidationError("ball radius must be positive")
+        if not (0.0 < float(radius) < math.inf):
+            raise ValidationError("ball radius must be positive and finite")
+        _require_finite(center, "ball center")
         self.radius = float(radius)
         self.center = center
         self.center.setflags(write=False)
@@ -272,6 +285,7 @@ class Linear(Atom):
     def __init__(self, c):
         c = _vector(c, None, "c")
         super().__init__(c.shape[0])
+        _require_finite(c, "linear c")
         self.c = c
         self.c.setflags(write=False)
 
@@ -310,6 +324,8 @@ class SmoothQuadratic:
         self.q = _vector(q, self.dim, "q") if q is not None else np.zeros(self.dim)
         self.q.setflags(write=False)
         self.c = float(c)
+        _require_finite(self.q, "quadratic term q")
+        _require_finite(self.c, "quadratic term c")
         self._ridge_cache = {}
 
     def value(self, x):

@@ -148,13 +148,11 @@ def _run_check(name, pb, args, seed):
             grid_kw["w_grid"] = _verify.GridSpec.cube(pb.p, 10.0, args.grid_points)
             if pb.d <= 3:
                 grid_kw["x_grid"] = _verify.GridSpec.cube(pb.d, 10.0, args.grid_points)
-        return _verify.check_moreau_identity(pb, tol_inner=args.inner_tol,
-                                             seed=seed, **grid_kw)
+        return _verify.check_moreau_identity(pb, tol_inner=args.inner_tol, **grid_kw)
     if name == "conjugate":
         if args.grid_points is not None and pb.d <= 3:
             grid_kw["x_grid"] = _verify.GridSpec.cube(pb.d, 10.0, args.grid_points)
-        return _verify.check_conjugate_identity(pb, tol_inner=args.inner_tol,
-                                                seed=seed, **grid_kw)
+        return _verify.check_conjugate_identity(pb, tol_inner=args.inner_tol, **grid_kw)
     if name == "invariance":
         return _verify.check_gradient_invariance(pb, tol_inner=args.inner_tol,
                                                  seed=seed)

@@ -160,6 +160,19 @@ def problem_to_dict(pb: ProblemInstance) -> dict:
     return doc
 
 
+def _floats(value):
+    return np.asarray(value, dtype=float)
+
+
+def _parsed(name, convert, value):
+    """convert(value); a value of the wrong type or shape raises a
+    ValidationError that names the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name}: {exc}") from exc
+
+
 def problem_from_dict(doc) -> ProblemInstance:
     if not isinstance(doc, dict):
         raise ValidationError("problem document must be a JSON object")
@@ -183,35 +196,43 @@ def problem_from_dict(doc) -> ProblemInstance:
             raise ValidationError(
                 f"atom {i} range must be an integer window [lo, hi) inside [0, {d})"
             )
+        if not isinstance(rec.get("params", {}), dict):
+            raise ValidationError(f"atom {i} params must be an object")
         lo, hi = rng
         try:
             atom = _atom_from_dict(rec, hi - lo)
         except KeyError as exc:
             raise ValidationError(f"atom {i} missing parameter {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"atom {i}: {exc}") from exc
         blocks.append((atom, (lo, hi)))
     sq = None
     if doc.get("smooth_quad") is not None:
         rec = doc["smooth_quad"]
-        sq = SmoothQuadratic(
-            d,
-            Q=None if rec.get("Q") is None else np.asarray(rec["Q"], dtype=float),
-            q=None if rec.get("q") is None else np.asarray(rec["q"], dtype=float),
-            c=float(rec.get("c", 0.0)),
-        )
+        if not isinstance(rec, dict):
+            raise ValidationError("smooth_quad must be an object")
+        try:
+            sq = SmoothQuadratic(
+                d,
+                Q=None if rec.get("Q") is None else np.asarray(rec["Q"], dtype=float),
+                q=None if rec.get("q") is None else np.asarray(rec["q"], dtype=float),
+                c=float(rec.get("c", 0.0)),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"smooth_quad: {exc}") from exc
     f = CompositeFunction(blocks, dim=d, smooth_quad=sq)
-    A = np.asarray(doc["A"], dtype=float)
+    A = _parsed("A", _floats, doc["A"])
     if A.ndim != 2:
         raise ValidationError("A must be an array of equal-length rows")
     if doc["p"] != A.shape[0]:
         raise ValidationError(f"p is {doc['p']!r} but A has {A.shape[0]} rows")
-    witness = doc.get("witness_x0")
-    lam_star = doc.get("lambda_star")
+    optional = {}
+    for key, convert in (("witness_x0", _floats), ("lambda_star", _floats), ("phi_star", float)):
+        if doc.get(key) is not None:
+            optional[key] = _parsed(key, convert, doc[key])
     return ProblemInstance(
-        f, A, np.asarray(doc["b"], dtype=float), float(doc["rho"]),
-        name=str(doc["name"]),
-        witness_x0=None if witness is None else np.asarray(witness, dtype=float),
-        lambda_star=None if lam_star is None else np.asarray(lam_star, dtype=float),
-        phi_star=None if doc.get("phi_star") is None else float(doc["phi_star"]),
+        f, A, _parsed("b", _floats, doc["b"]), _parsed("rho", float, doc["rho"]),
+        name=str(doc["name"]), **optional,
     )
 
 
@@ -225,10 +246,14 @@ def write_problem(pb: ProblemInstance, path) -> None:
     _dump_json(problem_to_dict(pb), path)
 
 
+def _reject_constant(name):
+    raise ValidationError(f"problem JSON contains {name}; every number must be finite")
+
+
 def read_problem(path) -> ProblemInstance:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"malformed problem JSON: {exc}") from exc
     return problem_from_dict(doc)

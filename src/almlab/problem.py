@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from ._rng import SplitMix64
-from .atoms import CompositeFunction, ValidationError, _vector
+from .atoms import CompositeFunction, ValidationError, _require_finite, _vector
 
 __all__ = [
     "ProblemInstance",
@@ -66,8 +66,8 @@ class ProblemInstance:
             raise ValidationError("A must have finite entries")
         if not np.all(np.isfinite(b)):
             raise ValidationError("b must have finite entries")
-        if not (float(rho) > 0.0):
-            raise ValidationError("rho must be positive")
+        if not (0.0 < float(rho) < math.inf):
+            raise ValidationError("rho must be positive and finite")
         self.f = f
         self.A = A
         self.b = b
@@ -78,6 +78,7 @@ class ProblemInstance:
 
         if witness_x0 is not None:
             witness_x0 = _vector(witness_x0, f.dim, "witness_x0")
+            _require_finite(witness_x0, "witness_x0")
             if math.isinf(f.value(witness_x0)):
                 raise ValidationError("witness_x0 has infinite objective value")
             gap = float(np.linalg.norm(A @ witness_x0 - b))
@@ -87,9 +88,13 @@ class ProblemInstance:
         self.witness_x0 = witness_x0
         if lambda_star is not None:
             lambda_star = _vector(lambda_star, A.shape[0], "lambda_star")
+            _require_finite(lambda_star, "lambda_star")
             lambda_star.setflags(write=False)
         self.lambda_star = lambda_star
-        self.phi_star = None if phi_star is None else float(phi_star)
+        if phi_star is not None:
+            phi_star = float(phi_star)
+            _require_finite(phi_star, "phi_star")
+        self.phi_star = phi_star
         self._op_norm_sq = None
 
     @property
@@ -110,24 +115,27 @@ class ProblemInstance:
         return f"ProblemInstance({self.name!r}, d={self.d}, p={self.p}, rho={self.rho:g})"
 
 
-def lagrangian(pb, x, lam) -> float:
-    """f(x) + lam'(Ax - b); +inf exactly when f(x) is +inf."""
+def _lagrangian_and_residual(pb, x, lam):
+    """(lagrangian(pb, x, lam), Ax - b); the residual is None when f(x) is +inf."""
     x = _vector(x, pb.d)
     lam = _vector(lam, pb.p, "lam")
     val = pb.f.value(x)
     if math.isinf(val):
-        return math.inf
+        return math.inf, None
     r = pb.A @ x - pb.b
-    return float(val + lam @ r)
+    return float(val + lam @ r), r
+
+
+def lagrangian(pb, x, lam) -> float:
+    """f(x) + lam'(Ax - b); +inf exactly when f(x) is +inf."""
+    return _lagrangian_and_residual(pb, x, lam)[0]
 
 
 def aug_lagrangian(pb, x, lam) -> float:
     """Augmented Lagrangian; equals lagrangian(pb, x, lam) plus the penalty term."""
-    base = lagrangian(pb, x, lam)
-    if math.isinf(base):
+    base, r = _lagrangian_and_residual(pb, x, lam)
+    if r is None:
         return math.inf
-    x = _vector(x, pb.d)
-    r = pb.A @ x - pb.b
     return float(base + 0.5 * pb.rho * float(r @ r))
 
 

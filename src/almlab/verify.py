@@ -9,6 +9,12 @@ accuracy budget; the budget terms are engineering estimates (inexact inner
 solves do not admit tight universal error bounds) and are recorded in the
 certificate so a reader can judge them.
 
+Every check draws (or builds) all of its multipliers, solves at them, then
+scores the solutions and builds the certificate with :func:`_certificate`.
+The solves go through :func:`_solve_chain`, the one place that warm-starts a
+solve at the previous solution and where a batched inner kernel would take
+over; only the invariance check solves from its own random starts.
+
 Brute-force oracles here are deliberately independent of the solver path:
 they evaluate objectives on explicit grids and never call the inner solver,
 so a certificate failure points at a real defect (or an inadequate grid, for
@@ -203,10 +209,28 @@ def _solve(pb, lam, tol, x0):
     return sol
 
 
-def _top_witnesses(entries, fmt, count=5):
-    """entries: list of (score, data); returns descriptions of the worst five."""
-    order = sorted(range(len(entries)), key=lambda i: entries[i][0], reverse=True)
-    return [fmt(entries[i][1]) for i in order[:count]]
+def _solve_chain(pb, lams, tol):
+    """Inner solutions at lams, in order.  Each solve is warm-started at the
+    previous solution's x_plus; the first starts at zeros."""
+    sols = []
+    x_warm = None
+    for lam in lams:
+        sols.append(_solve(pb, lam, tol, x_warm))
+        x_warm = sols[-1].x_plus
+    return sols
+
+
+def _certificate(check_name, pb, num_samples, entries, threshold, rng_seed, details,
+                 offset=0.0):
+    """Certificate from (score, witness) entries: worst_violation is the top
+    score minus offset (0.0 without entries), and the witnesses are those of
+    the five top scores, worst first."""
+    if num_samples < 1:
+        raise ValidationError(f"{check_name} check needs at least one sample")
+    ranked = sorted(entries, key=lambda entry: entry[0], reverse=True)
+    worst = float(ranked[0][0] - offset) if ranked else 0.0
+    return Certificate(check_name, pb.name, num_samples, worst, float(threshold),
+                       worst <= threshold, [w for _, w in ranked[:5]], rng_seed, details)
 
 
 def check_smoothness(pb, radius=10.0, n_pairs=200, tol_inner=1e-8,
@@ -220,10 +244,8 @@ def check_smoothness(pb, radius=10.0, n_pairs=200, tol_inner=1e-8,
     """
     rng = np.random.default_rng(seed)
     min_dist = _MIN_DIST_FRAC * radius
-    x_warm = None
-    entries = []
-    realized_min = math.inf
-    for i in range(n_pairs):
+    pairs = []
+    for _ in range(n_pairs):
         for _ in range(1000):
             l1 = _ball_point(rng, pb.p, radius)
             l2 = _ball_point(rng, pb.p, radius)
@@ -232,31 +254,48 @@ def check_smoothness(pb, radius=10.0, n_pairs=200, tol_inner=1e-8,
                 break
         else:
             raise ValidationError("could not sample a pair above the distance floor")
-        s1 = _solve(pb, l1, tol_inner, x_warm)
-        x_warm = s1.x_plus
-        s2 = _solve(pb, l2, tol_inner, x_warm)
-        x_warm = s2.x_plus
+        pairs.append((l1, l2, dist))
+    sols = _solve_chain(pb, [lam for l1, l2, _ in pairs for lam in (l1, l2)], tol_inner)
+    entries = []
+    for i, (_, _, dist) in enumerate(pairs):
+        s1, s2 = sols[2 * i], sols[2 * i + 1]
         ratio = float(np.linalg.norm(s1.constraint_map - s2.constraint_map)) / dist
-        realized_min = min(realized_min, dist)
-        entries.append((ratio, (i, ratio, dist)))
+        entries.append((ratio, f"pair {i}: ratio={ratio:.9g} dist={dist:.9g}"))
     bound = 1.0 / pb.rho
-    max_ratio = max(score for score, _ in entries)
-    worst = max_ratio - bound
-    threshold = 4.0 * tol_inner / realized_min + 1e-9
-    witnesses = _top_witnesses(
-        entries, lambda w: f"pair {w[0]}: ratio={w[1]:.9g} dist={w[2]:.9g}"
-    )
-    return Certificate(
-        "smoothness", pb.name, n_pairs, float(worst), float(threshold),
-        worst <= threshold, witnesses, seed,
-        details={
+    max_ratio = max(ratio for ratio, _ in entries)
+    realized_min = min(dist for _, _, dist in pairs)
+    return _certificate(
+        "smoothness", pb, n_pairs, entries, 4.0 * tol_inner / realized_min + 1e-9, seed,
+        {
             "max_ratio": float(max_ratio),
             "smoothness_bound": bound,
             "min_pair_distance": float(realized_min),
             "tol_inner": tol_inner,
             "radius": radius,
         },
+        offset=bound,
     )
+
+
+def _fd_threshold(h, tol_inner):
+    """Threshold of both finite-difference checks; rejects a step h <= 0."""
+    if not (h > 0.0):
+        raise ValidationError("finite-difference step h must be positive")
+    return 10.0 * (h * h + tol_inner / h)
+
+
+def _fd_errors(pb, lam, h, tol):
+    """Central differences fd of the dual value at lam against the gradient
+    estimate grad = A x+ - b, solved as the chain [lam, lam + h e0,
+    lam - h e0, ...].  Returns (|fd - grad|, fd, grad)."""
+    lams = [lam]
+    for e in h * np.eye(pb.p):
+        lams += [lam + e, lam - e]
+    sols = _solve_chain(pb, lams, tol)
+    fd = np.array([(sp.obj_value - sm.obj_value) / (2.0 * h)
+                   for sp, sm in zip(sols[1::2], sols[2::2])])
+    grad = sols[0].constraint_map
+    return np.abs(fd - grad), fd, grad
 
 
 def check_gradient_fd(pb, lam, h=1e-4, tol_inner=1e-8) -> Certificate:
@@ -268,53 +307,29 @@ def check_gradient_fd(pb, lam, h=1e-4, tol_inner=1e-8) -> Certificate:
     only h >= J/40 makes the h^2 term dominate there; random sample points
     sit away from such jumps almost surely.
     """
-    if not (h > 0.0):
-        raise ValidationError("finite-difference step h must be positive")
+    threshold = _fd_threshold(h, tol_inner)
     lam = _vector(lam, pb.p, "lam")
-    base = _solve(pb, lam, tol_inner, None)
-    x_warm = base.x_plus
-    grad = base.constraint_map
-    fd = np.empty(pb.p)
-    for i in range(pb.p):
-        e = np.zeros(pb.p)
-        e[i] = h
-        sp = _solve(pb, lam + e, tol_inner, x_warm)
-        x_warm = sp.x_plus
-        sm = _solve(pb, lam - e, tol_inner, x_warm)
-        x_warm = sm.x_plus
-        fd[i] = (sp.obj_value - sm.obj_value) / (2.0 * h)
-    err = np.abs(fd - grad)
-    worst_i = int(np.argmax(err))
-    worst = float(err[worst_i])
-    threshold = 10.0 * (h * h + tol_inner / h)
-    witnesses = [f"coordinate {worst_i}: fd={fd[worst_i]:.9g} grad={grad[worst_i]:.9g}"]
-    return Certificate(
-        "gradient_fd", pb.name, 1, worst, float(threshold), worst <= threshold,
-        witnesses, 0,
-        details={"h": h, "tol_inner": tol_inner, "worst_coordinate": worst_i},
+    err, fd, grad = _fd_errors(pb, lam, h, tol_inner)
+    i = int(np.argmax(err))
+    return _certificate(
+        "gradient_fd", pb, 1, [(err[i], f"coordinate {i}: fd={fd[i]:.9g} grad={grad[i]:.9g}")],
+        threshold, 0, {"h": h, "tol_inner": tol_inner, "worst_coordinate": i},
     )
 
 
 def check_gradient_fd_sampled(pb, n_samples=50, radius=10.0, h=1e-4,
                               tol_inner=1e-8, seed=0) -> Certificate:
     """check_gradient_fd aggregated over multipliers sampled from a ball."""
+    threshold = _fd_threshold(h, tol_inner)
     rng = np.random.default_rng(seed)
+    lams = [_ball_point(rng, pb.p, radius) for _ in range(n_samples)]
     entries = []
-    for i in range(n_samples):
-        lam = _ball_point(rng, pb.p, radius)
-        cert = check_gradient_fd(pb, lam, h=h, tol_inner=tol_inner)
-        entries.append((cert.worst_violation, (i, cert.worst_violation, lam)))
-    worst = max(score for score, _ in entries)
-    threshold = 10.0 * (h * h + tol_inner / h)
-    witnesses = _top_witnesses(
-        entries,
-        lambda w: f"sample {w[0]}: err={w[1]:.9g} at lam={np.array2string(w[2], precision=4)}",
-    )
-    return Certificate(
-        "gradient_fd", pb.name, n_samples, float(worst), float(threshold),
-        worst <= threshold, witnesses, seed,
-        details={"h": h, "tol_inner": tol_inner, "radius": radius},
-    )
+    for i, lam in enumerate(lams):
+        err = float(np.max(_fd_errors(pb, lam, h, tol_inner)[0]))
+        entries.append((err, f"sample {i}: err={err:.9g} "
+                             f"at lam={np.array2string(lam, precision=4)}"))
+    return _certificate("gradient_fd", pb, n_samples, entries, threshold, seed,
+                        {"h": h, "tol_inner": tol_inner, "radius": radius})
 
 
 def check_concavity(pb, radius=10.0, n_pairs=50, tol_inner=1e-8,
@@ -322,27 +337,19 @@ def check_concavity(pb, radius=10.0, n_pairs=50, tol_inner=1e-8,
     """Midpoint concavity: (phi(l1) + phi(l2))/2 - phi((l1+l2)/2) <= 0 up to
     three dual-value estimation budgets."""
     rng = np.random.default_rng(seed)
-    x_warm = None
-    entries = []
-    for i in range(n_pairs):
+    lams = []
+    for _ in range(n_pairs):
         l1 = _ball_point(rng, pb.p, radius)
         l2 = _ball_point(rng, pb.p, radius)
-        s1 = _solve(pb, l1, tol_inner, x_warm)
-        x_warm = s1.x_plus
-        s2 = _solve(pb, l2, tol_inner, x_warm)
-        x_warm = s2.x_plus
-        sm = _solve(pb, 0.5 * (l1 + l2), tol_inner, x_warm)
-        x_warm = sm.x_plus
+        lams += [l1, l2, 0.5 * (l1 + l2)]
+    sols = _solve_chain(pb, lams, tol_inner)
+    entries = []
+    for i in range(n_pairs):
+        s1, s2, sm = sols[3 * i:3 * i + 3]
         gap = 0.5 * (s1.obj_value + s2.obj_value) - sm.obj_value
-        entries.append((gap, (i, gap)))
-    worst = max(score for score, _ in entries)
-    threshold = 3.0 * tol_inner + 1e-9
-    witnesses = _top_witnesses(entries, lambda w: f"pair {w[0]}: midpoint gap={w[1]:.9g}")
-    return Certificate(
-        "concavity", pb.name, n_pairs, float(worst), float(threshold),
-        worst <= threshold, witnesses, seed,
-        details={"tol_inner": tol_inner, "radius": radius},
-    )
+        entries.append((gap, f"pair {i}: midpoint gap={gap:.9g}"))
+    return _certificate("concavity", pb, n_pairs, entries, 3.0 * tol_inner + 1e-9, seed,
+                        {"tol_inner": tol_inner, "radius": radius})
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +415,22 @@ class _StandardDualOracle:
         return out
 
 
+def _lattice_certificate(check_name, pb, tol_inner, residual, label, details):
+    """Certificate of |residual(lam, solution at lam)| over the lattice
+    {-3..3}^p, solved as one chain; the threshold and the details' first two
+    entries are the grid budget and the inner term."""
+    lams = default_lambda_grid(pb.p)
+    entries = []
+    for lam, sol in zip(lams, _solve_chain(pb, lams, tol_inner)):
+        violation = abs(residual(lam, sol))
+        entries.append((violation, f"lam={np.array2string(lam, precision=4)}: "
+                                   f"|{label}|={violation:.9g}"))
+    return _certificate(check_name, pb, lams.shape[0], entries, _GRID_BUDGET + 3.0 * tol_inner,
+                        0, {"grid_budget": _GRID_BUDGET, "inner_term": 3.0 * tol_inner, **details})
+
+
 def check_moreau_identity(pb, w_grid=None, x_grid=None, tol_inner=1e-8,
-                          neg_inf_floor=-1e9, seed=0) -> Certificate:
+                          neg_inf_floor=-1e9) -> Certificate:
     """Moreau-envelope form of the augmented dual.
 
     With phi the plain dual, the envelope  min_w [-phi(w) + ||w-lam||^2/(2 rho)]
@@ -427,7 +448,6 @@ def check_moreau_identity(pb, w_grid=None, x_grid=None, tol_inner=1e-8,
     if pb.p > 3:
         raise ValidationError("moreau check needs p <= 3")
     oracle = _StandardDualOracle(pb, x_grid)
-    lam_samples = default_lambda_grid(pb.p)
     if w_grid is None:
         w_grid = GridSpec.cube(pb.p)
 
@@ -442,9 +462,8 @@ def check_moreau_identity(pb, w_grid=None, x_grid=None, tol_inner=1e-8,
         raise ValidationError("plain dual is -inf on the entire w grid")
 
     inv_two_rho = 1.0 / (2.0 * pb.rho)
-    x_warm = None
-    entries = []
-    for idx, lam in enumerate(lam_samples):
+
+    def envelope_plus_dual(lam, sol):
         def envelope(P, negphi_P):
             return negphi_P + np.sum((P - lam) ** 2, axis=1) * inv_two_rho
 
@@ -452,31 +471,15 @@ def check_moreau_identity(pb, w_grid=None, x_grid=None, tol_inner=1e-8,
         i = int(np.argmin(vals))
         _, best_val = _refine(lambda P: envelope(P, neg_phi(P)), w_grid,
                               W[i], float(vals[i]))
-        sol = _solve(pb, lam, tol_inner, x_warm)
-        x_warm = sol.x_plus
-        violation = abs(best_val + sol.obj_value)
-        entries.append((violation, (idx, violation, lam)))
+        return best_val + sol.obj_value
 
-    worst = max(score for score, _ in entries)
-    threshold = _GRID_BUDGET + 3.0 * tol_inner
-    witnesses = _top_witnesses(
-        entries,
-        lambda w: f"lam={np.array2string(w[2], precision=4)}: |envelope + dual|={w[1]:.9g}",
-    )
-    return Certificate(
-        "moreau", pb.name, lam_samples.shape[0], float(worst), float(threshold),
-        worst <= threshold, witnesses, seed,
-        details={
-            "grid_budget": _GRID_BUDGET,
-            "inner_term": 3.0 * tol_inner,
-            "skipped_neg_inf": skipped,
-            "w_points_per_axis": w_grid.points_per_axis,
-            "closed_form_dual": oracle.atom is not None,
-        },
-    )
+    details = {"skipped_neg_inf": skipped, "w_points_per_axis": w_grid.points_per_axis,
+               "closed_form_dual": oracle.atom is not None}
+    return _lattice_certificate("moreau", pb, tol_inner, envelope_plus_dual,
+                                "envelope + dual", details)
 
 
-def check_conjugate_identity(pb, x_grid=None, tol_inner=1e-8, seed=0) -> Certificate:
+def check_conjugate_identity(pb, x_grid=None, tol_inner=1e-8) -> Certificate:
     """Conjugate form of the augmented dual.
 
     With f_rho = f + (rho/2)||A . - b||^2, the augmented dual value must equal
@@ -491,7 +494,6 @@ def check_conjugate_identity(pb, x_grid=None, tol_inner=1e-8, seed=0) -> Certifi
         raise ValidationError(
             "conjugate check needs d <= 3 unless f is a positive-definite quadratic"
         )
-    lam_samples = default_lambda_grid(pb.p)
 
     if atom is not None:
         P = atom.Q + pb.rho * (pb.A.T @ pb.A)
@@ -520,31 +522,12 @@ def check_conjugate_identity(pb, x_grid=None, tol_inner=1e-8, seed=0) -> Certifi
 
         x_points = x_grid.points_per_axis
 
-    x_warm = None
-    entries = []
-    for idx, lam in enumerate(lam_samples):
-        sol = _solve(pb, lam, tol_inner, x_warm)
-        x_warm = sol.x_plus
-        conj = f_rho_star(-(pb.A.T @ lam))
-        violation = abs(sol.obj_value + conj + float(lam @ pb.b))
-        entries.append((violation, (idx, violation, lam)))
+    def dual_plus_conjugate(lam, sol):
+        return sol.obj_value + f_rho_star(-(pb.A.T @ lam)) + float(lam @ pb.b)
 
-    worst = max(score for score, _ in entries)
-    threshold = _GRID_BUDGET + 3.0 * tol_inner
-    witnesses = _top_witnesses(
-        entries,
-        lambda w: f"lam={np.array2string(w[2], precision=4)}: |dual + conjugate|={w[1]:.9g}",
-    )
-    return Certificate(
-        "conjugate", pb.name, lam_samples.shape[0], float(worst), float(threshold),
-        worst <= threshold, witnesses, seed,
-        details={
-            "grid_budget": _GRID_BUDGET,
-            "inner_term": 3.0 * tol_inner,
-            "closed_form_conjugate": atom is not None,
-            "x_points_per_axis": x_points,
-        },
-    )
+    details = {"closed_form_conjugate": atom is not None, "x_points_per_axis": x_points}
+    return _lattice_certificate("conjugate", pb, tol_inner, dual_plus_conjugate,
+                                "dual + conjugate", details)
 
 
 def check_gradient_invariance(pb, lam=None, n_inits=10, tol_inner=1e-8,
@@ -560,10 +543,8 @@ def check_gradient_invariance(pb, lam=None, n_inits=10, tol_inner=1e-8,
         lam = np.zeros(pb.p)
     lam = _vector(lam, pb.p, "lam")
     rng = np.random.default_rng(seed)
-    sols = []
-    for _ in range(n_inits):
-        x0 = rng.uniform(-_INIT_BOX, _INIT_BOX, pb.d)
-        sols.append(_solve(pb, lam, tol_inner, x0))
+    sols = [_solve(pb, lam, tol_inner, rng.uniform(-_INIT_BOX, _INIT_BOX, pb.d))
+            for _ in range(n_inits)]
     entries = []
     x_spread = 0.0
     for i in range(n_inits):
@@ -571,15 +552,6 @@ def check_gradient_invariance(pb, lam=None, n_inits=10, tol_inner=1e-8,
             g_gap = float(np.linalg.norm(sols[i].constraint_map - sols[j].constraint_map))
             x_gap = float(np.linalg.norm(sols[i].x_plus - sols[j].x_plus))
             x_spread = max(x_spread, x_gap)
-            entries.append((g_gap, (i, j, g_gap, x_gap)))
-    worst = max(score for score, _ in entries) if entries else 0.0
-    threshold = 10.0 * tol_inner
-    witnesses = _top_witnesses(
-        entries,
-        lambda w: f"starts ({w[0]},{w[1]}): grad gap={w[2]:.9g} x gap={w[3]:.9g}",
-    )
-    return Certificate(
-        "invariance", pb.name, n_inits, float(worst), float(threshold),
-        worst <= threshold, witnesses, seed,
-        details={"x_spread": x_spread, "tol_inner": tol_inner, "init_box": _INIT_BOX},
-    )
+            entries.append((g_gap, f"starts ({i},{j}): grad gap={g_gap:.9g} x gap={x_gap:.9g}"))
+    return _certificate("invariance", pb, n_inits, entries, 10.0 * tol_inner, seed,
+                        {"x_spread": x_spread, "tol_inner": tol_inner, "init_box": _INIT_BOX})

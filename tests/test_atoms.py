@@ -329,6 +329,24 @@ def test_atom_validation_errors():
         al.Zero(3).value(np.zeros(2))
     with pytest.raises(al.ValidationError, match="alpha"):
         al.CompositeFunction.single(al.L1(2)).prox(0.0, np.zeros(2))
+    # parameters must be finite; only box bounds may be infinite
+    with pytest.raises(al.ValidationError, match="weight"):
+        al.L1(2, weight=np.inf)
+    with pytest.raises(al.ValidationError, match="NaN"):
+        al.Box(np.array([np.nan]), np.array([1.0]))
+    with pytest.raises(al.ValidationError, match="radius"):
+        al.L2Ball(np.inf, np.zeros(2))
+    with pytest.raises(al.ValidationError, match="center must be finite"):
+        al.L2Ball(1.0, np.array([np.nan, 0.0]))
+    with pytest.raises(al.ValidationError, match="linear c must be finite"):
+        al.Linear(np.array([np.nan]))
+    with pytest.raises(al.ValidationError, match="quadratic matrix must be finite"):
+        al.Quadratic(np.array([[np.nan]]))
+    with pytest.raises(al.ValidationError, match="quadratic q must be finite"):
+        al.Quadratic(np.eye(1), q=np.array([np.inf]))
+    with pytest.raises(al.ValidationError, match="quadratic term q must be finite"):
+        al.SmoothQuadratic(1, q=np.array([np.nan]))
+    assert np.isinf(al.Box(np.array([-np.inf]), np.array([np.inf])).lo[0])
 
 
 def test_psd_tolerance_accepts_rounding():

@@ -166,12 +166,38 @@ def test_solve_unknown_atom_kind_exits_1(tmp_path, qp_file):
     assert main(["solve", str(path)]) == 1
 
 
+def _set_atom(kind, params):
+    """Mutation that replaces atom 0 of a problem document, keeping its range."""
+    def mutate(doc):
+        doc["atoms"][0] = {"kind": kind, "params": params, "range": doc["atoms"][0]["range"]}
+    return mutate
+
+
+# json.dumps writes NaN and Infinity literals, which read_problem must reject
 @pytest.mark.parametrize("mutate, message", [
     (lambda doc: doc.update(p=7), "p is 7 but A has 1 rows"),
     (lambda doc: doc.update(atoms={"kind": "zero"}), "atoms must be a list"),
     (lambda doc: doc["atoms"].__setitem__(0, "zero"), "atom 0 must be an object"),
     (lambda doc: doc["atoms"][0].update(range=2), "atom 0 range must be"),
-], ids=["p_mismatch", "atoms_not_list", "atom_not_object", "range_not_pair"])
+    (lambda doc: doc["atoms"][0].update(params=[1]), "atom 0 params must be an object"),
+    (lambda doc: doc.update(smooth_quad=[1]), "smooth_quad must be an object"),
+    (_set_atom("l2ball", {"radius": [1], "center": [0.0, 0.0]}),
+     "atom 0: float() argument must be"),
+    (lambda doc: doc.update(rho=np.inf), "problem JSON contains Infinity"),
+    (_set_atom("l1", {"weight": np.inf}), "problem JSON contains Infinity"),
+    (_set_atom("linear", {"c": [np.nan, 0.0]}), "problem JSON contains NaN"),
+    (_set_atom("box", {"lo": [np.nan, 0.0], "hi": [1.0, 1.0]}), "problem JSON contains NaN"),
+    (lambda doc: doc.update(witness_x0=[np.nan, 0.0]), "problem JSON contains NaN"),
+    (lambda doc: doc.update(phi_star=np.inf), "problem JSON contains Infinity"),
+    (lambda doc: doc.update(rho=[1]), "rho: float() argument must be"),
+    (lambda doc: doc.update(A={"row": 1}), "A: float() argument must be"),
+    (lambda doc: doc.update(smooth_quad={"c": [1]}), "smooth_quad: float() argument must be"),
+    (lambda doc: doc.update(phi_star=[1]), "phi_star: float() argument must be"),
+], ids=["p_mismatch", "atoms_not_list", "atom_not_object", "range_not_pair",
+        "params_not_object", "smooth_quad_not_object", "l2ball_radius_list",
+        "rho_inf", "l1_weight_inf", "linear_c_nan", "box_lo_nan", "witness_nan",
+        "phi_star_inf", "rho_list", "A_not_numeric", "smooth_quad_c_list",
+        "phi_star_list"])
 def test_solve_malformed_problem_exits_1(tmp_path, qp_file, capsys, mutate, message):
     with open(qp_file) as fh:
         doc = json.load(fh)

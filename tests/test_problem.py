@@ -115,6 +115,14 @@ def test_problem_validation_errors():
         al.ProblemInstance(f, A, b, 0.0)
     with pytest.raises(al.ValidationError, match="rho"):
         al.ProblemInstance(f, A, b, -1.0)
+    with pytest.raises(al.ValidationError, match="rho"):
+        al.ProblemInstance(f, A, b, np.inf)
+    with pytest.raises(al.ValidationError, match="rho"):
+        al.ProblemInstance(f, A, b, np.nan)
+    with pytest.raises(al.ValidationError, match="lambda_star must be finite"):
+        al.ProblemInstance(f, A, b, 1.0, lambda_star=np.array([np.nan, 0.0]))
+    with pytest.raises(al.ValidationError, match="phi_star must be finite"):
+        al.ProblemInstance(f, A, b, 1.0, phi_star=np.inf)
 
 
 def test_witness_validation():
@@ -124,6 +132,9 @@ def test_witness_validation():
     with pytest.raises(al.ValidationError, match="witness"):
         al.ProblemInstance(f, A, np.array([2.0]), 1.0,
                            witness_x0=np.array([0.5, 0.5]))
+    with pytest.raises(al.ValidationError, match="witness_x0 must be finite"):
+        al.ProblemInstance(f, A, np.array([2.0]), 1.0,
+                           witness_x0=np.array([np.nan, 1.0]))
     # witness outside dom f
     with pytest.raises(al.ValidationError, match="witness"):
         al.ProblemInstance(f, A, np.array([0.0]), 1.0,

@@ -296,3 +296,41 @@ def test_different_seeds_change_samples(p_rank):
     a = al.check_smoothness(p_rank(1.0), n_pairs=30, tol_inner=1e-9, seed=1)
     b = al.check_smoothness(p_rank(1.0), n_pairs=30, tol_inner=1e-9, seed=2)
     assert a.witnesses != b.witnesses
+
+
+# ---------------------------------------------------------------------------
+# inner solves per check
+
+
+@pytest.mark.parametrize("run, solves, chain", [
+    (lambda pb: al.check_smoothness(pb, n_pairs=3, seed=1), 6, 6),
+    (lambda pb: al.check_gradient_fd_sampled(pb, n_samples=2, seed=1), 10, 5),
+    (lambda pb: al.check_concavity(pb, n_pairs=3, seed=1), 9, 9),
+    (lambda pb: al.check_gradient_invariance(pb, n_inits=4, seed=1), 4, None),
+    (lambda pb: al.check_moreau_identity(pb), 49, 49),
+    (lambda pb: al.check_conjugate_identity(pb), 49, 49),
+], ids=["smoothness", "gradient_fd_sampled", "concavity", "invariance", "moreau",
+        "conjugate"])
+def test_solve_count_and_warm_start_chain(monkeypatch, run, solves, chain):
+    # p = 2: 2 n_pairs, (1 + 2p) n_samples, 3 n_pairs, n_inits and 7^p solves,
+    # the counts perfbench derives from each check's budget.  Inside a chain
+    # of `chain` solves the first starts cold and each later one at the
+    # previous x_plus; invariance uses its own random starts.
+    pb = al.generate(al.BenchmarkSpec("qp", 4, 2, 2.0, 6))
+    calls = []
+
+    def counting(pb, lam, settings):
+        sol = al.solve_subproblem(pb, lam, settings)
+        calls.append((settings.x0, sol.x_plus))
+        return sol
+
+    monkeypatch.setattr("almlab.verify.solve_subproblem", counting)
+    run(pb)
+    assert len(calls) == solves
+    for k, (x0, _) in enumerate(calls):
+        if chain is None:
+            assert x0 is not None
+        elif k % chain == 0:
+            assert x0 is None
+        else:
+            assert x0 is calls[k - 1][1]
