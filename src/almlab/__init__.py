@@ -24,12 +24,9 @@ from .bench import FAMILIES, BenchmarkSpec, generate
 from .dual import (
     OuterSettings,
     SolveTrace,
-    TolSchedule,
     TraceRecord,
     accelerated_alm,
     alm,
-    dual_gradient,
-    dual_value,
 )
 from .fileio import (
     certificate_to_dict,
@@ -42,7 +39,7 @@ from .fileio import (
     write_report,
     write_trace,
 )
-from .inner import DivergenceDetected, InnerSettings, InnerSolution, solve_subproblem
+from .inner import DivergenceDetected, InnerSolution, solve_subproblem
 from .problem import ProblemInstance, aug_lagrangian, lagrangian, operator_norm_sq
 from .verify import (
     Certificate,
@@ -64,12 +61,11 @@ __all__ = [
     "Atom", "Box", "CompositeFunction", "L1", "L2Ball", "Linear", "Nonneg",
     "Quadratic", "SmoothQuadratic", "ValidationError", "Zero",
     "FAMILIES", "BenchmarkSpec", "generate",
-    "OuterSettings", "SolveTrace", "TolSchedule", "TraceRecord",
-    "accelerated_alm", "alm", "dual_gradient", "dual_value",
+    "OuterSettings", "SolveTrace", "TraceRecord", "accelerated_alm", "alm",
     "certificate_to_dict", "problem_from_dict", "problem_to_dict",
     "read_problem", "read_report", "read_trace",
     "write_problem", "write_report", "write_trace",
-    "DivergenceDetected", "InnerSettings", "InnerSolution", "solve_subproblem",
+    "DivergenceDetected", "InnerSolution", "solve_subproblem",
     "ProblemInstance", "aug_lagrangian", "lagrangian", "operator_norm_sq",
     "Certificate", "GridSpec", "brute_min",
     "check_concavity", "check_conjugate_identity", "check_gradient_fd",

@@ -20,7 +20,7 @@ import numpy as np
 
 from .atoms import ValidationError
 from .bench import FAMILIES, BenchmarkSpec, generate
-from .dual import OuterSettings, TolSchedule, accelerated_alm, alm
+from .dual import OuterSettings, accelerated_alm, alm
 from .fileio import read_problem, write_problem, write_report, write_trace
 from .inner import DivergenceDetected
 from . import verify as _verify
@@ -115,7 +115,8 @@ def _cmd_solve(args) -> int:
             raise ValidationError(f"--lam0 must be comma-separated numbers, got {args.lam0!r}")
     settings = OuterSettings(
         max_outer=args.max_outer,
-        schedule=TolSchedule.geometric(tol0=args.inner_tol0, factor=args.inner_factor),
+        inner_tol0=args.inner_tol0,
+        inner_factor=args.inner_factor,
         grad_stop=args.grad_stop,
     )
     method = accelerated_alm if args.method == "accelerated" else alm

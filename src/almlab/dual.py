@@ -23,78 +23,54 @@ the extrapolated point for its step.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .atoms import ValidationError, _vector
-from .inner import InnerSettings, solve_subproblem
+from .inner import solve_subproblem
 
 __all__ = [
-    "TolSchedule",
     "OuterSettings",
     "TraceRecord",
     "SolveTrace",
-    "dual_value",
-    "dual_gradient",
     "alm",
     "accelerated_alm",
 ]
 
 _DUAL_DIVERGE_FACTOR = 1e12
-
-
-@dataclass(frozen=True)
-class TolSchedule:
-    """Inner tolerance per outer iteration: constant, or geometric decay
-    tol0 * factor^k floored at ``floor``."""
-
-    kind: str
-    tol0: float
-    factor: float = 1.0
-    floor: float = 1e-12
-
-    def __post_init__(self):
-        if self.kind not in ("constant", "geometric"):
-            raise ValidationError("schedule kind must be 'constant' or 'geometric'")
-        if not (self.tol0 > 0.0):
-            raise ValidationError("schedule tol0 must be positive")
-        if not (0.0 < self.factor <= 1.0):
-            raise ValidationError("schedule factor must lie in (0, 1]")
-        if not (self.floor > 0.0):
-            raise ValidationError("schedule floor must be positive")
-
-    @staticmethod
-    def constant(tol: float) -> "TolSchedule":
-        return TolSchedule("constant", tol)
-
-    @staticmethod
-    def geometric(tol0: float = 1e-4, factor: float = 0.5, floor: float = 1e-12) -> "TolSchedule":
-        return TolSchedule("geometric", tol0, factor, floor)
-
-    def at(self, k: int) -> float:
-        if self.kind == "constant":
-            return self.tol0
-        return max(self.floor, self.tol0 * self.factor ** k)
+_TOL_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class OuterSettings:
     """Outer loop controls; max_outer counts dual updates, so a trace holds
-    at most max_outer + 1 records."""
+    at most max_outer + 1 records.
+
+    The inner tolerance of outer iteration k is inner_tol0 * inner_factor^k,
+    floored at 1e-12; inner_factor = 1 keeps it constant.
+    """
 
     max_outer: int = 500
-    schedule: TolSchedule = field(default_factory=TolSchedule.geometric)
+    inner_tol0: float = 1e-4
+    inner_factor: float = 0.5
     grad_stop: float = 1e-6
     inner_max_iter: int = 100_000
 
     def __post_init__(self):
         if self.max_outer < 0:
             raise ValidationError("max_outer must be nonnegative")
+        if not (self.inner_tol0 > 0.0):
+            raise ValidationError("inner_tol0 must be positive")
+        if not (0.0 < self.inner_factor <= 1.0):
+            raise ValidationError("inner_factor must lie in (0, 1]")
         if not (self.grad_stop > 0.0):
             raise ValidationError("grad_stop must be positive")
         if self.inner_max_iter < 1:
             raise ValidationError("inner_max_iter must be at least 1")
+
+    def inner_tol(self, k: int) -> float:
+        return max(_TOL_FLOOR, self.inner_tol0 * self.inner_factor ** k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,25 +96,6 @@ class SolveTrace:
     settings: OuterSettings
     terminated_reason: str
 
-    def grad_norms(self):
-        return [rec.grad_norm for rec in self.records]
-
-    def phi_estimates(self):
-        return [rec.phi_est for rec in self.records]
-
-
-def dual_value(pb, lam, tol=1e-8, x0=None, max_iter=100_000) -> float:
-    """Upper-bound estimate of phi(lam): inner objective at tolerance tol."""
-    sol = solve_subproblem(pb, lam, InnerSettings(tol=tol, max_iter=max_iter, x0=x0))
-    return sol.obj_value
-
-
-def dual_gradient(pb, lam, tol=1e-8, x0=None, max_iter=100_000) -> np.ndarray:
-    """A x+ - b at an inner solution of tolerance tol; any inner minimizer
-    yields the same value up to that tolerance."""
-    sol = solve_subproblem(pb, lam, InnerSettings(tol=tol, max_iter=max_iter, x0=x0))
-    return sol.constraint_map
-
 
 def _run_outer(pb, lam0, settings, accelerated):
     if settings is None:
@@ -157,9 +114,8 @@ def _run_outer(pb, lam0, settings, accelerated):
     phi_prev = None
 
     for k in range(settings.max_outer + 1):
-        tol_k = settings.schedule.at(k)
-        inner = InnerSettings(tol=tol_k, max_iter=settings.inner_max_iter, x0=x_warm)
-        sol = solve_subproblem(pb, lam, inner)
+        tol_k = settings.inner_tol(k)
+        sol = solve_subproblem(pb, lam, tol_k, x_warm, settings.inner_max_iter)
         x_warm = sol.x_plus
         rec = TraceRecord(
             k=k,
@@ -194,9 +150,7 @@ def _run_outer(pb, lam0, settings, accelerated):
             if y is lam or np.array_equal(y, lam):
                 sol_step = sol
             else:
-                step_inner = InnerSettings(tol=tol_k, max_iter=settings.inner_max_iter,
-                                           x0=x_warm)
-                sol_step = solve_subproblem(pb, y, step_inner)
+                sol_step = solve_subproblem(pb, y, tol_k, x_warm, settings.inner_max_iter)
                 x_warm = sol_step.x_plus
             lam_new = y + pb.rho * sol_step.constraint_map
             theta_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))

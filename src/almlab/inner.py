@@ -26,7 +26,6 @@ from .atoms import ValidationError, _vector
 from .problem import aug_lagrangian
 
 __all__ = [
-    "InnerSettings",
     "InnerSolution",
     "DivergenceDetected",
     "solve_subproblem",
@@ -39,25 +38,6 @@ _STEP_SAFETY = 0.99
 class DivergenceDetected(RuntimeError):
     """Iterate norm blew past 1e12 * (1 + ||x0||); the subproblem is unbounded
     below or the instance is misspecified."""
-
-
-@dataclass(frozen=True, eq=False)
-class InnerSettings:
-    """Settings for one subproblem solve.
-
-    tol is the prox-gradient residual target and x0 the warm start (zeros
-    when None).
-    """
-
-    tol: float
-    max_iter: int = 100_000
-    x0: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not (self.tol > 0.0):
-            raise ValidationError("inner tolerance must be positive")
-        if self.max_iter < 1:
-            raise ValidationError("inner max_iter must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,21 +64,28 @@ def _smooth_gradient(pb, x, aT_lam):
     return aT_lam + pb.rho * (pb.A.T @ (pb.A @ x - pb.b)) + pb.f.quadratic_gradient(x)
 
 
-def solve_subproblem(pb, lam, settings) -> InnerSolution:
+def solve_subproblem(pb, lam, tol, x0=None, max_iter=100_000) -> InnerSolution:
     """Minimize the augmented Lagrangian over x at fixed lam.
+
+    tol is the prox-gradient residual target (positive), x0 the warm start
+    (zeros when None) and max_iter the iteration budget (at least 1).
 
     Always solvable: the smooth part has full domain and f is closed proper
     convex, so a minimizer exists for every lam.  Raises DivergenceDetected
     when iterates blow up (unbounded instance); returns converged=False when
     max_iter runs out first.
     """
+    if not (tol > 0.0):
+        raise ValidationError("inner tolerance must be positive")
+    if max_iter < 1:
+        raise ValidationError("inner max_iter must be at least 1")
     lam = _vector(lam, pb.p, "lam")
     f_ns = pb.f.nonsmooth_part()
     curv = pb.rho * pb.operator_norm_sq() + pb.f.quadratic_curvature()
     t = _STEP_SAFETY / curv if curv > 0.0 else _STEP_SAFETY
 
-    if settings.x0 is not None:
-        x = _vector(settings.x0, pb.d, "x0").copy()
+    if x0 is not None:
+        x = _vector(x0, pb.d, "x0").copy()
     else:
         x = np.zeros(pb.d)
     diverge_bound = _DIVERGE_FACTOR * (1.0 + float(np.linalg.norm(x)))
@@ -108,7 +95,7 @@ def solve_subproblem(pb, lam, settings) -> InnerSolution:
     g = _smooth_gradient(pb, x, aT_lam)
     z = f_ns.prox(t, x - t * g)
     res = float(np.linalg.norm(x - z) / t)
-    if res <= settings.tol and math.isfinite(obj):
+    if res <= tol and math.isfinite(obj):
         return InnerSolution(x, res, 0, obj, pb.A @ x - pb.b, True, t)
 
     y = x
@@ -117,7 +104,7 @@ def solve_subproblem(pb, lam, settings) -> InnerSolution:
     theta = 1.0
     iterations = 0
     converged = False
-    for k in range(1, settings.max_iter + 1):
+    for k in range(1, max_iter + 1):
         if not y_is_x:
             g_y = _smooth_gradient(pb, y, aT_lam)
         x_new = f_ns.prox(t, y - t * g_y)
@@ -144,7 +131,7 @@ def solve_subproblem(pb, lam, settings) -> InnerSolution:
         if y_is_x:
             g_y = g
         iterations = k
-        if res <= settings.tol:
+        if res <= tol:
             converged = True
             break
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atoms import Quadratic, ValidationError, _vector
-from .inner import InnerSettings, solve_subproblem
+from .inner import solve_subproblem
 
 __all__ = [
     "Certificate",
@@ -201,7 +201,7 @@ def _ball_point(rng, p, radius):
 
 
 def _solve(pb, lam, tol, x0):
-    sol = solve_subproblem(pb, lam, InnerSettings(tol=tol, max_iter=_INNER_MAX_ITER, x0=x0))
+    sol = solve_subproblem(pb, lam, tol, x0, _INNER_MAX_ITER)
     if not sol.converged:
         raise RuntimeError(
             f"inner solve did not reach tolerance {tol:g} within {_INNER_MAX_ITER} iterations"

@@ -112,7 +112,7 @@ def test_c05_dual_domain_is_everything():
     for _ in range(100):
         direction = rng.normal(size=6)
         lam = direction / np.linalg.norm(direction) * 1e3 * rng.uniform() ** (1 / 6)
-        sol = al.solve_subproblem(pb, lam, al.InnerSettings(tol=1e-8))
+        sol = al.solve_subproblem(pb, lam, 1e-8)
         assert sol.converged, lam
         assert math.isfinite(sol.obj_value), lam
     _pass(5, "inner solve finite and convergent at 100 multipliers with "
@@ -134,7 +134,7 @@ def test_c06_gradient_image_invariance(p_rank):
 
 def test_c07_trace_replays_as_dual_gradient_ascent():
     st = al.OuterSettings(max_outer=30, grad_stop=1e-300,
-                          schedule=al.TolSchedule.geometric(1e-4, 0.5))
+                          inner_tol0=1e-4, inner_factor=0.5)
     for family, (d, p) in {"qp": (10, 4), "basis_pursuit": (10, 4),
                            "nonneg_lp": (10, 4), "rank_deficient_box": (10, 4),
                            "tight_bound_family": (1, 1)}.items():
@@ -143,9 +143,7 @@ def test_c07_trace_replays_as_dual_gradient_ascent():
         assert len(trace.records) == 31, family
         x_prev = None
         for i, rec in enumerate(trace.records[:-1]):
-            sol = al.solve_subproblem(
-                pb, rec.lam,
-                al.InnerSettings(tol=st.schedule.at(rec.k), x0=x_prev))
+            sol = al.solve_subproblem(pb, rec.lam, st.inner_tol(rec.k), x0=x_prev)
             x_prev = sol.x_plus
             expected = rec.lam + pb.rho * sol.constraint_map
             assert np.array_equal(trace.records[i + 1].lam, expected), (family, i)
@@ -159,7 +157,7 @@ def test_c08_convergence_rates_on_qp():
     pb = al.generate(al.BenchmarkSpec("qp", 8, 3, 1.0, 2))
     dist2 = float(pb.lambda_star @ pb.lambda_star)  # lam0 = 0
     st = al.OuterSettings(max_outer=200, grad_stop=1e-300,
-                          schedule=al.TolSchedule.constant(1e-10))
+                          inner_tol0=1e-10, inner_factor=1.0)
 
     trace = al.alm(pb, None, st)
     for rec in trace.records[1:]:

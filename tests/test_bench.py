@@ -59,9 +59,9 @@ def test_seeds_give_distinct_instances():
 def test_qp_sidecar_is_dual_optimum():
     pb = al.generate(al.BenchmarkSpec("qp", 6, 3, rho=1.0, seed=5))
     assert pb.lambda_star is not None and pb.phi_star is not None
-    g = al.dual_gradient(pb, pb.lambda_star, tol=1e-12)
+    g = al.solve_subproblem(pb, pb.lambda_star, 1e-12).constraint_map
     assert np.linalg.norm(g) <= 1e-7
-    val = al.dual_value(pb, pb.lambda_star, tol=1e-12)
+    val = al.solve_subproblem(pb, pb.lambda_star, 1e-12).obj_value
     assert val == pytest.approx(pb.phi_star, abs=1e-7)
 
 
@@ -69,7 +69,7 @@ def test_qp_solves_to_certified_value():
     pb = al.generate(al.BenchmarkSpec("qp", 2, 1, rho=1.0, seed=7))
     trace = al.alm(pb, np.zeros(1),
                    al.OuterSettings(grad_stop=1e-10,
-                                    schedule=al.TolSchedule.constant(1e-12)))
+                                    inner_tol0=1e-12, inner_factor=1.0))
     assert trace.terminated_reason == "grad_stop"
     assert trace.records[-1].phi_est == pytest.approx(pb.phi_star, abs=1e-6)
 
@@ -109,8 +109,9 @@ def test_rank_deficient_smallest_case_is_exact(p_rank):
     assert pb.f.value(np.ones(2)) == 0.0
     assert pb.f.value(-np.ones(2)) == np.inf
     ref = p_rank(1.0)
-    assert al.dual_value(pb, np.array([3.0, 3.0]), tol=1e-10) == pytest.approx(
-        al.dual_value(ref, np.array([3.0, 3.0]), tol=1e-10), abs=1e-9)
+    lam = np.array([3.0, 3.0])
+    assert al.solve_subproblem(pb, lam, 1e-10).obj_value == pytest.approx(
+        al.solve_subproblem(ref, lam, 1e-10).obj_value, abs=1e-9)
 
 
 def test_tight_bound_family_fields():

@@ -88,7 +88,7 @@ def test_solve_trace_round_trips_17_digits(qp_file, tmp_path):
     trace_path = tmp_path / "trace.csv"
     main(["solve", qp_file, "--trace-out", str(trace_path)])
     pb = al.read_problem(qp_file)
-    st = al.OuterSettings(schedule=al.TolSchedule.geometric(1e-4, 0.5))
+    st = al.OuterSettings(inner_tol0=1e-4, inner_factor=0.5)
     trace = al.alm(pb, None, st)
     rows = al.read_trace(str(trace_path))
     assert len(rows) == len(trace.records)

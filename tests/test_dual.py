@@ -5,14 +5,16 @@ import pytest
 
 import almlab as al
 
-EXACT = al.TolSchedule.constant(1e-10)
+EXACT = {"inner_tol0": 1e-10, "inner_factor": 1.0}
 
 
 def test_dual_value_examples(qp_scalar, p_box):
     pb = qp_scalar(rho=1.0)
-    assert al.dual_value(pb, np.array([2.0]), tol=1e-10) == pytest.approx(-1.0, abs=1e-8)
+    sol = al.solve_subproblem(pb, np.array([2.0]), 1e-10)
+    assert sol.obj_value == pytest.approx(-1.0, abs=1e-8)
     pbx = p_box(rho=1.0)
-    assert al.dual_value(pbx, np.zeros(1), tol=1e-10) == pytest.approx(0.0, abs=1e-8)
+    sol = al.solve_subproblem(pbx, np.zeros(1), 1e-10)
+    assert sol.obj_value == pytest.approx(0.0, abs=1e-8)
 
 
 def test_dual_value_weak_duality():
@@ -21,21 +23,21 @@ def test_dual_value_weak_duality():
     rng = np.random.default_rng(3)
     for _ in range(20):
         lam = rng.uniform(-5, 5, pb.p)
-        assert al.dual_value(pb, lam, tol=1e-10) <= pb.phi_star + 1e-8
+        assert al.solve_subproblem(pb, lam, 1e-10).obj_value <= pb.phi_star + 1e-8
 
 
 def test_dual_gradient_examples(qp_scalar, p_box):
     pb = qp_scalar(rho=1.0)
-    g = al.dual_gradient(pb, np.array([2.0]), tol=1e-10)
+    g = al.solve_subproblem(pb, np.array([2.0]), 1e-10).constraint_map
     assert g[0] == pytest.approx(-1.0, abs=1e-8)
     pbx = p_box(rho=1.0)
-    g = al.dual_gradient(pbx, np.array([3.0]), tol=1e-10)
+    g = al.solve_subproblem(pbx, np.array([3.0]), 1e-10).constraint_map
     assert g[0] == pytest.approx(-1.0, abs=1e-8)
 
 
 def test_dual_gradient_vanishes_at_optimum():
     pb = al.generate(al.BenchmarkSpec("qp", 6, 3, 1.0, 2))
-    g = al.dual_gradient(pb, pb.lambda_star, tol=1e-10)
+    g = al.solve_subproblem(pb, pb.lambda_star, 1e-10).constraint_map
     assert np.linalg.norm(g) <= 10 * 1e-10
 
 
@@ -44,21 +46,23 @@ def test_dual_gradient_vanishes_at_optimum():
 
 
 def test_tol_schedule_values():
-    c = al.TolSchedule.constant(1e-6)
-    assert c.at(0) == c.at(50) == 1e-6
-    g = al.TolSchedule.geometric(1e-4, 0.5, 1e-12)
-    assert g.at(0) == 1e-4
-    assert g.at(3) == pytest.approx(1.25e-5)
-    assert g.at(1000) == 1e-12  # floored
+    c = al.OuterSettings(inner_tol0=1e-6, inner_factor=1.0)
+    assert c.inner_tol(0) == c.inner_tol(50) == 1e-6
+    g = al.OuterSettings(inner_tol0=1e-4, inner_factor=0.5)
+    assert g.inner_tol(0) == 1e-4
+    assert g.inner_tol(3) == pytest.approx(1.25e-5)
+    assert g.inner_tol(1000) == 1e-12  # floored
+    # a constant schedule is floored too
+    assert al.OuterSettings(inner_tol0=1e-14, inner_factor=1.0).inner_tol(0) == 1e-12
 
 
 def test_tol_schedule_validation():
     with pytest.raises(al.ValidationError):
-        al.TolSchedule.constant(0.0)
+        al.OuterSettings(inner_tol0=0.0)
     with pytest.raises(al.ValidationError):
-        al.TolSchedule.geometric(1e-4, 1.5)
+        al.OuterSettings(inner_factor=1.5)
     with pytest.raises(al.ValidationError):
-        al.TolSchedule.geometric(1e-4, 0.0)
+        al.OuterSettings(inner_factor=0.0)
     with pytest.raises(al.ValidationError):
         al.OuterSettings(max_outer=-1)
 
@@ -70,7 +74,7 @@ def test_tol_schedule_validation():
 def test_alm_contracts_multiplier_geometrically(qp_scalar):
     # lam+ = lam + rho * (-lam/(1+rho)) = lam/(1+rho); rho=1 halves each step
     pb = qp_scalar(rho=1.0)
-    st = al.OuterSettings(max_outer=20, schedule=al.TolSchedule.constant(1e-12),
+    st = al.OuterSettings(max_outer=20, inner_tol0=1e-12, inner_factor=1.0,
                           grad_stop=1e-300)
     tr = al.alm(pb, np.array([1.0]), st)
     for rec in tr.records:
@@ -79,7 +83,7 @@ def test_alm_contracts_multiplier_geometrically(qp_scalar):
 
 def test_alm_fixed_point_gives_single_record():
     pb = al.generate(al.BenchmarkSpec("qp", 6, 3, 1.0, 2))
-    st = al.OuterSettings(max_outer=100, schedule=EXACT, grad_stop=1e-6)
+    st = al.OuterSettings(max_outer=100, **EXACT, grad_stop=1e-6)
     tr = al.alm(pb, pb.lambda_star, st)
     assert tr.terminated_reason == "grad_stop"
     assert len(tr.records) == 1
@@ -88,7 +92,7 @@ def test_alm_fixed_point_gives_single_record():
 
 def test_accelerated_fixed_point_stays_put():
     pb = al.generate(al.BenchmarkSpec("qp", 6, 3, 1.0, 2))
-    st = al.OuterSettings(max_outer=100, schedule=EXACT, grad_stop=1e-6)
+    st = al.OuterSettings(max_outer=100, **EXACT, grad_stop=1e-6)
     tr = al.accelerated_alm(pb, pb.lambda_star, st)
     assert tr.terminated_reason == "grad_stop"
     assert len(tr.records) == 1
@@ -96,17 +100,15 @@ def test_accelerated_fixed_point_stays_put():
 
 def test_trace_replay_is_bit_exact():
     pb = al.generate(al.BenchmarkSpec("basis_pursuit", 10, 4, 1.0, 8))
-    sch = al.TolSchedule.geometric(1e-4, 0.5, 1e-12)
-    st = al.OuterSettings(max_outer=15, schedule=sch, grad_stop=1e-300)
+    st = al.OuterSettings(max_outer=15, inner_tol0=1e-4, inner_factor=0.5,
+                          grad_stop=1e-300)
     tr = al.alm(pb, None, st)
     assert tr.terminated_reason == "max_outer"
     # independent replay: same warm-start chain, same tolerances
     x_prev = None
     for i, rec in enumerate(tr.records[:-1]):
-        sol = al.solve_subproblem(
-            pb, rec.lam,
-            al.InnerSettings(tol=sch.at(rec.k), max_iter=st.inner_max_iter,
-                             x0=x_prev))
+        sol = al.solve_subproblem(pb, rec.lam, st.inner_tol(rec.k), x0=x_prev,
+                                  max_iter=st.inner_max_iter)
         x_prev = sol.x_plus
         nxt = tr.records[i + 1].lam
         assert np.array_equal(nxt, rec.lam + pb.rho * sol.constraint_map)
@@ -115,22 +117,21 @@ def test_trace_replay_is_bit_exact():
 
 def test_trace_record_invariants():
     pb = al.generate(al.BenchmarkSpec("qp", 5, 2, 1.0, 1))
-    st = al.OuterSettings(max_outer=10, schedule=EXACT, grad_stop=1e-300)
+    st = al.OuterSettings(max_outer=10, **EXACT, grad_stop=1e-300)
     tr = al.alm(pb, None, st)
     for i, rec in enumerate(tr.records):
         assert rec.k == i
         assert rec.grad_norm == float(np.linalg.norm(rec.constraint_map))
         assert math.isfinite(rec.phi_est)
         assert rec.inner_iters >= 0
-    assert len(tr.grad_norms()) == len(tr.records)
     assert tr.settings.max_outer == 10
 
 
 def test_alm_monotone_dual_values_on_qp():
     pb = al.generate(al.BenchmarkSpec("qp", 6, 3, 1.0, 4))
-    st = al.OuterSettings(max_outer=60, schedule=EXACT, grad_stop=1e-10)
+    st = al.OuterSettings(max_outer=60, **EXACT, grad_stop=1e-10)
     tr = al.alm(pb, None, st)
-    phis = tr.phi_estimates()
+    phis = [rec.phi_est for rec in tr.records]
     assert all(phis[i + 1] >= phis[i] - 1e-9 for i in range(len(phis) - 1))
 
 
@@ -138,7 +139,7 @@ def test_alm_gd_rate_on_qp():
     pb = al.generate(al.BenchmarkSpec("qp", 6, 3, 1.0, 4))
     lam0 = np.zeros(pb.p)
     dist2 = float(np.sum((lam0 - pb.lambda_star) ** 2))
-    st = al.OuterSettings(max_outer=100, schedule=EXACT, grad_stop=1e-300)
+    st = al.OuterSettings(max_outer=100, **EXACT, grad_stop=1e-300)
     tr = al.alm(pb, lam0, st)
     for rec in tr.records:
         if rec.k == 0:
@@ -157,9 +158,9 @@ def test_basis_pursuit_converges_within_budget():
 def test_basis_pursuit_final_x_matches_simplex_oracle():
     scipy_opt = pytest.importorskip("scipy.optimize")
     pb = al.generate(al.BenchmarkSpec("basis_pursuit", 3, 2, 1.0, 1))
-    st = al.OuterSettings(max_outer=2000, schedule=EXACT, grad_stop=1e-9)
+    st = al.OuterSettings(max_outer=2000, **EXACT, grad_stop=1e-9)
     tr = al.alm(pb, None, st)
-    sol = al.solve_subproblem(pb, tr.records[-1].lam, al.InnerSettings(tol=1e-12))
+    sol = al.solve_subproblem(pb, tr.records[-1].lam, 1e-12)
     x = sol.x_plus
     # min ||x||_1 s.t. Ax=b as an LP over the positive/negative split
     d = pb.d
@@ -179,7 +180,7 @@ def test_accelerated_rate_on_qp():
     pb = al.generate(al.BenchmarkSpec("qp", 6, 3, 1.0, 4))
     lam0 = np.zeros(pb.p)
     dist2 = float(np.sum((lam0 - pb.lambda_star) ** 2))
-    st = al.OuterSettings(max_outer=100, schedule=EXACT, grad_stop=1e-300)
+    st = al.OuterSettings(max_outer=100, **EXACT, grad_stop=1e-300)
     tr = al.accelerated_alm(pb, lam0, st)
     for rec in tr.records:
         bound = 2 * dist2 / (pb.rho * (rec.k + 1) ** 2) * 1.01
@@ -201,7 +202,7 @@ def test_accelerated_no_slower_than_plain_on_basis_pursuit():
 
 def test_max_outer_reason():
     pb = al.generate(al.BenchmarkSpec("qp", 5, 2, 1.0, 1))
-    st = al.OuterSettings(max_outer=3, schedule=EXACT, grad_stop=1e-300)
+    st = al.OuterSettings(max_outer=3, **EXACT, grad_stop=1e-300)
     tr = al.alm(pb, None, st)
     assert tr.terminated_reason == "max_outer"
     assert len(tr.records) == 4  # k = 0..3
@@ -209,7 +210,7 @@ def test_max_outer_reason():
 
 def test_inner_max_iter_reason():
     pb = al.generate(al.BenchmarkSpec("nonneg_lp", 10, 4, 1.0, 2))
-    st = al.OuterSettings(max_outer=50, schedule=al.TolSchedule.constant(1e-12),
+    st = al.OuterSettings(max_outer=50, inner_tol0=1e-12, inner_factor=1.0,
                           grad_stop=1e-300, inner_max_iter=3)
     tr = al.alm(pb, None, st)
     assert tr.terminated_reason == "inner_max_iter"
@@ -220,7 +221,7 @@ def test_dual_divergence_reason():
     # the multiplier blow past the guard quickly
     f = al.CompositeFunction.single(al.Zero(1))
     pb = al.ProblemInstance(f, np.array([[1.0], [1.0]]), np.array([0.0, 1.0]), 1e11)
-    st = al.OuterSettings(max_outer=500, schedule=al.TolSchedule.constant(1e-8),
+    st = al.OuterSettings(max_outer=500, inner_tol0=1e-8, inner_factor=1.0,
                           grad_stop=1e-300)
     tr = al.alm(pb, None, st)
     assert tr.terminated_reason == "dual_divergence"

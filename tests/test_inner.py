@@ -45,16 +45,16 @@ def test_smooth_gradient_matches_finite_difference():
 def test_inner_qp_closed_form(qp_scalar):
     # stationarity (1+rho) x + lam = 0
     pb = qp_scalar(rho=1.0)
-    sol = al.solve_subproblem(pb, np.array([2.0]), al.InnerSettings(tol=1e-10))
+    sol = al.solve_subproblem(pb, np.array([2.0]), 1e-10)
     assert sol.x_plus[0] == pytest.approx(-1.0, abs=1e-8)
     assert sol.converged
 
 
 def test_inner_box_clamp(p_box):
     pb = p_box(rho=1.0)
-    lo = al.solve_subproblem(pb, np.array([-3.0]), al.InnerSettings(tol=1e-10))
+    lo = al.solve_subproblem(pb, np.array([-3.0]), 1e-10)
     assert lo.x_plus[0] == pytest.approx(4.0, abs=1e-8)  # 1 - lam/rho = 4 >= 0
-    hi = al.solve_subproblem(pb, np.array([3.0]), al.InnerSettings(tol=1e-10))
+    hi = al.solve_subproblem(pb, np.array([3.0]), 1e-10)
     assert hi.x_plus[0] == pytest.approx(0.0, abs=1e-8)  # clamp of 1 - 3
     assert hi.constraint_map[0] == pytest.approx(-1.0, abs=1e-8)
 
@@ -63,7 +63,7 @@ def test_obj_value_is_exact_aug_lagrangian():
     for fam, d, p in [("qp", 5, 2), ("basis_pursuit", 6, 3), ("nonneg_lp", 6, 3)]:
         pb = al.generate(al.BenchmarkSpec(fam, d, p, 1.0, 5))
         lam = np.linspace(-1, 1, p)
-        sol = al.solve_subproblem(pb, lam, al.InnerSettings(tol=1e-8))
+        sol = al.solve_subproblem(pb, lam, 1e-8)
         assert sol.obj_value == al.aug_lagrangian(pb, sol.x_plus, lam)
         assert np.array_equal(sol.constraint_map, pb.A @ sol.x_plus - pb.b)
 
@@ -71,7 +71,7 @@ def test_obj_value_is_exact_aug_lagrangian():
 def test_residual_definition_and_tolerance():
     pb = al.generate(al.BenchmarkSpec("basis_pursuit", 8, 4, 2.0, 1))
     lam = np.full(pb.p, 0.3)
-    sol = al.solve_subproblem(pb, lam, al.InnerSettings(tol=1e-9))
+    sol = al.solve_subproblem(pb, lam, 1e-9)
     assert sol.converged and sol.residual <= 1e-9
     g = _smooth_gradient(pb, sol.x_plus, pb.A.T @ lam)
     recomputed = pb.f.nonsmooth_part().prox_residual(sol.x_plus, g, sol.step)
@@ -86,7 +86,7 @@ def test_descent_consistency():
         for _ in range(10):
             x0 = np.abs(rng.uniform(-3, 3, pb.d))  # inside dom f for all three
             lam = rng.uniform(-2, 2, pb.p)
-            sol = al.solve_subproblem(pb, lam, al.InnerSettings(tol=1e-8, x0=x0))
+            sol = al.solve_subproblem(pb, lam, 1e-8, x0=x0)
             assert sol.obj_value <= al.aug_lagrangian(pb, x0, lam) + 1e-12
 
 
@@ -95,15 +95,14 @@ def test_objective_monotone_in_iteration_budget():
     lam = np.full(pb.p, 1.5)
     prev = math.inf
     for budget in (1, 2, 5, 10, 30, 100, 1000):
-        sol = al.solve_subproblem(
-            pb, lam, al.InnerSettings(tol=1e-12, max_iter=budget))
+        sol = al.solve_subproblem(pb, lam, 1e-12, max_iter=budget)
         assert sol.obj_value <= prev + 1e-12
         prev = sol.obj_value
 
 
 def test_max_iter_returns_tagged_failure():
     pb = al.generate(al.BenchmarkSpec("qp", 8, 3, 1.0, 9))
-    sol = al.solve_subproblem(pb, np.ones(3), al.InnerSettings(tol=1e-14, max_iter=2))
+    sol = al.solve_subproblem(pb, np.ones(3), 1e-14, max_iter=2)
     assert not sol.converged
     assert sol.residual > 1e-14
     assert sol.iterations == 2
@@ -112,9 +111,7 @@ def test_max_iter_returns_tagged_failure():
 
 def test_warm_start_at_solution_returns_immediately(qp_scalar):
     pb = qp_scalar(rho=1.0)
-    sol = al.solve_subproblem(
-        pb, np.array([2.0]),
-        al.InnerSettings(tol=1e-8, x0=np.array([-1.0])))
+    sol = al.solve_subproblem(pb, np.array([2.0]), 1e-8, x0=np.array([-1.0]))
     assert sol.iterations == 0
     assert sol.x_plus[0] == -1.0
 
@@ -124,9 +121,7 @@ def test_infeasible_start_never_returns_infinite_objective():
     # solver must keep going until the objective is finite
     f = al.CompositeFunction.single(al.Nonneg(1))
     pb = al.ProblemInstance(f, np.array([[1.0]]), np.zeros(1), 1.0)
-    sol = al.solve_subproblem(
-        pb, np.zeros(1),
-        al.InnerSettings(tol=1e-6, x0=np.array([-1e-18])))
+    sol = al.solve_subproblem(pb, np.zeros(1), 1e-6, x0=np.array([-1e-18]))
     assert math.isfinite(sol.obj_value)
     assert sol.x_plus[0] >= 0.0
 
@@ -136,14 +131,15 @@ def test_divergence_detected_on_unbounded_subproblem():
     f = al.CompositeFunction.single(al.Linear(np.array([1e6, -2e6])))
     pb = al.ProblemInstance(f, np.array([[1.0, 1.0]]), np.zeros(1), 1.0)
     with pytest.raises(al.DivergenceDetected):
-        al.solve_subproblem(pb, np.zeros(1), al.InnerSettings(tol=1e-8))
+        al.solve_subproblem(pb, np.zeros(1), 1e-8)
 
 
-def test_inner_settings_validation():
-    with pytest.raises(al.ValidationError):
-        al.InnerSettings(tol=0.0)
-    with pytest.raises(al.ValidationError):
-        al.InnerSettings(tol=1e-8, max_iter=0)
+def test_inner_settings_validation(qp_scalar):
+    pb = qp_scalar(rho=1.0)
+    with pytest.raises(al.ValidationError, match="inner tolerance must be positive"):
+        al.solve_subproblem(pb, np.zeros(1), 0.0)
+    with pytest.raises(al.ValidationError, match="inner max_iter must be at least 1"):
+        al.solve_subproblem(pb, np.zeros(1), 1e-8, max_iter=0)
 
 
 def test_brute_min_cross_checks_inner_solver(p_box):
@@ -158,6 +154,6 @@ def test_brute_min_cross_checks_inner_solver(p_box):
 
     grid = al.GridSpec(np.array([-10.0]), np.array([10.0]), 2001)
     x_star, val = al.brute_min(objective, grid)
-    sol = al.solve_subproblem(pb, lam, al.InnerSettings(tol=1e-10))
+    sol = al.solve_subproblem(pb, lam, 1e-10)
     assert abs(val - sol.obj_value) <= 1e-3
     assert abs(x_star[0] - sol.x_plus[0]) <= 1e-2

@@ -176,8 +176,9 @@ def test_moreau_identity_qp_closed_form(qp_scalar):
     assert cert.passed
     assert cert.worst_violation <= 1e-6
     assert cert.details["closed_form_dual"] is True
-    # spot value: dual_value(2) should be -1, envelope 1
-    assert al.dual_value(pb, np.array([2.0]), tol=1e-10) == pytest.approx(-1.0, abs=1e-8)
+    # spot value: the dual value at 2 should be -1, envelope 1
+    sol = al.solve_subproblem(pb, np.array([2.0]), 1e-10)
+    assert sol.obj_value == pytest.approx(-1.0, abs=1e-8)
 
 
 def test_moreau_identity_p_box_grid(p_box):
@@ -231,7 +232,7 @@ def test_conjugate_identity_p_rank(p_rank):
 def test_conjugate_sign_convention_at_zero(qp_scalar):
     # phi_rho(0) = -f_rho*(0): dual value at 0 is 0 for this instance
     pb = qp_scalar(1.0)
-    assert al.dual_value(pb, np.zeros(1), tol=1e-10) == pytest.approx(0.0, abs=1e-8)
+    assert al.solve_subproblem(pb, np.zeros(1), 1e-10).obj_value == pytest.approx(0.0, abs=1e-8)
 
 
 def test_conjugate_rejects_large_d_without_closed_form():
@@ -267,7 +268,7 @@ def test_invariance_p_rank_clamped(p_rank):
     cert = al.check_gradient_invariance(pb, lam=np.array([3.0, 3.0]),
                                         n_inits=10, tol_inner=1e-9, seed=8)
     assert cert.passed
-    g = al.dual_gradient(pb, np.array([3.0, 3.0]), tol=1e-10)
+    g = al.solve_subproblem(pb, np.array([3.0, 3.0]), 1e-10).constraint_map
     assert np.allclose(g, [-2.0, -2.0], atol=1e-8)
 
 
@@ -319,9 +320,9 @@ def test_solve_count_and_warm_start_chain(monkeypatch, run, solves, chain):
     pb = al.generate(al.BenchmarkSpec("qp", 4, 2, 2.0, 6))
     calls = []
 
-    def counting(pb, lam, settings):
-        sol = al.solve_subproblem(pb, lam, settings)
-        calls.append((settings.x0, sol.x_plus))
+    def counting(pb, lam, tol, x0=None, max_iter=100_000):
+        sol = al.solve_subproblem(pb, lam, tol, x0, max_iter)
+        calls.append((x0, sol.x_plus))
         return sol
 
     monkeypatch.setattr("almlab.verify.solve_subproblem", counting)
