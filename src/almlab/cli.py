@@ -168,6 +168,8 @@ def _cmd_verify(args) -> int:
     names = [s.strip() for s in args.checks.split(",") if s.strip()]
     if not names:
         raise ValidationError("--checks must name at least one check")
+    if args.samples < 1:
+        raise ValidationError(f"--samples must be at least 1, got {args.samples}")
     certs = []
     for name in names:
         cert = _run_check(name, pb, args, seed)

@@ -70,6 +70,32 @@ def _bound_list(v):
     return out
 
 
+def _is_int(value):
+    """A JSON integer; bool is an int subclass, so it is excluded."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value):
+    """value as a float.  float() would also convert numeric strings and
+    booleans, so those raise TypeError, as every other non-number does."""
+    if isinstance(value, (str, bool)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value):
+    """value as a float array; every entry must pass :func:`_number`.  Plain
+    floats, the bulk of every file, skip the call."""
+    stack = [value]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, list):
+            stack.extend(u for u in t if type(u) is not float)
+        else:
+            _number(t)
+    return np.asarray(value, dtype=float)
+
+
 def _bound_array(lst, fill, name):
     if not isinstance(lst, list):
         raise ValidationError(f"{name} must be a list")
@@ -77,7 +103,7 @@ def _bound_array(lst, fill, name):
     for i, t in enumerate(lst):
         if t is None:
             out[i] = fill
-        elif isinstance(t, (int, float)):
+        elif _is_int(t) or isinstance(t, float):
             out[i] = float(t)
         else:
             raise ValidationError(f"{name}[{i}] must be a number or null")
@@ -112,21 +138,19 @@ def _atom_from_dict(rec, n):
     if kind == "zero":
         return Zero(n)
     if kind == "quadratic":
-        return Quadratic(np.asarray(params["Q"], dtype=float),
-                         np.asarray(params["q"], dtype=float),
-                         float(params.get("c", 0.0)))
+        return Quadratic(_numbers(params["Q"]), _numbers(params["q"]),
+                         _number(params.get("c", 0.0)))
     if kind == "l1":
-        return L1(n, float(params.get("weight", 1.0)))
+        return L1(n, _number(params.get("weight", 1.0)))
     if kind == "box":
         return Box(_bound_array(params["lo"], -np.inf, "box lo"),
                    _bound_array(params["hi"], np.inf, "box hi"))
     if kind == "nonneg":
         return Nonneg(n)
     if kind == "l2ball":
-        return L2Ball(float(params["radius"]),
-                      np.asarray(params["center"], dtype=float))
+        return L2Ball(_number(params["radius"]), _numbers(params["center"]))
     if kind == "linear":
-        return Linear(np.asarray(params["c"], dtype=float))
+        return Linear(_numbers(params["c"]))
     raise ValidationError(f"unknown atom kind {kind!r}")
 
 
@@ -160,10 +184,6 @@ def problem_to_dict(pb: ProblemInstance) -> dict:
     return doc
 
 
-def _floats(value):
-    return np.asarray(value, dtype=float)
-
-
 def _parsed(name, convert, value):
     """convert(value); a value of the wrong type or shape raises a
     ValidationError that names the field."""
@@ -179,8 +199,10 @@ def problem_from_dict(doc) -> ProblemInstance:
     for key in ("name", "d", "p", "rho", "atoms", "A", "b"):
         if key not in doc:
             raise ValidationError(f"problem file missing field {key!r}")
+    if not isinstance(doc["name"], str):
+        raise ValidationError("name must be a string")
     d = doc["d"]
-    if not isinstance(d, int) or d < 1:
+    if not _is_int(d) or d < 1:
         raise ValidationError("d must be a positive integer")
     if not isinstance(doc["atoms"], list):
         raise ValidationError("atoms must be a list of atom records")
@@ -192,7 +214,7 @@ def problem_from_dict(doc) -> ProblemInstance:
             raise ValidationError(f"atom {i} missing field 'range'")
         rng = rec["range"]
         if not (isinstance(rng, list) and len(rng) == 2
-                and all(isinstance(t, int) for t in rng) and 0 <= rng[0] < rng[1] <= d):
+                and all(_is_int(t) for t in rng) and 0 <= rng[0] < rng[1] <= d):
             raise ValidationError(
                 f"atom {i} range must be an integer window [lo, hi) inside [0, {d})"
             )
@@ -214,25 +236,26 @@ def problem_from_dict(doc) -> ProblemInstance:
         try:
             sq = SmoothQuadratic(
                 d,
-                Q=None if rec.get("Q") is None else np.asarray(rec["Q"], dtype=float),
-                q=None if rec.get("q") is None else np.asarray(rec["q"], dtype=float),
-                c=float(rec.get("c", 0.0)),
+                Q=None if rec.get("Q") is None else _numbers(rec["Q"]),
+                q=None if rec.get("q") is None else _numbers(rec["q"]),
+                c=_number(rec.get("c", 0.0)),
             )
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"smooth_quad: {exc}") from exc
     f = CompositeFunction(blocks, dim=d, smooth_quad=sq)
-    A = _parsed("A", _floats, doc["A"])
+    A = _parsed("A", _numbers, doc["A"])
     if A.ndim != 2:
         raise ValidationError("A must be an array of equal-length rows")
-    if doc["p"] != A.shape[0]:
+    if not _is_int(doc["p"]) or doc["p"] != A.shape[0]:
         raise ValidationError(f"p is {doc['p']!r} but A has {A.shape[0]} rows")
     optional = {}
-    for key, convert in (("witness_x0", _floats), ("lambda_star", _floats), ("phi_star", float)):
+    for key, convert in (("witness_x0", _numbers), ("lambda_star", _numbers),
+                         ("phi_star", _number)):
         if doc.get(key) is not None:
             optional[key] = _parsed(key, convert, doc[key])
     return ProblemInstance(
-        f, A, _parsed("b", _floats, doc["b"]), _parsed("rho", float, doc["rho"]),
-        name=str(doc["name"]), **optional,
+        f, A, _parsed("b", _numbers, doc["b"]), _parsed("rho", _number, doc["rho"]),
+        name=doc["name"], **optional,
     )
 
 

@@ -242,6 +242,8 @@ def check_smoothness(pb, radius=10.0, n_pairs=200, tol_inner=1e-8,
     two gradients an inner-accuracy budget of 2 * tol_inner, divided by the
     smallest accepted pair distance.
     """
+    if n_pairs < 1:
+        raise ValidationError("smoothness check needs at least one sample")
     rng = np.random.default_rng(seed)
     min_dist = _MIN_DIST_FRAC * radius
     pairs = []

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,11 +195,26 @@ def _set_atom(kind, params):
     (lambda doc: doc.update(A={"row": 1}), "A: float() argument must be"),
     (lambda doc: doc.update(smooth_quad={"c": [1]}), "smooth_quad: float() argument must be"),
     (lambda doc: doc.update(phi_star=[1]), "phi_star: float() argument must be"),
+    (_set_atom("l1", {"weight": "1"}), "atom 0: expected a number, got '1'"),
+    (lambda doc: doc.update(rho="1"), "rho: expected a number, got '1'"),
+    (lambda doc: doc.update(rho=True), "rho: expected a number, got True"),
+    (lambda doc: doc.update(b=["1"]), "b: expected a number, got '1'"),
+    (lambda doc: doc["A"][0].__setitem__(1, "0.5"), "A: expected a number, got '0.5'"),
+    (lambda doc: doc["A"][0].__setitem__(1, True), "A: expected a number, got True"),
+    (_set_atom("linear", {"c": ["1", 0.0]}), "atom 0: expected a number, got '1'"),
+    (_set_atom("l2ball", {"radius": "2", "center": [0.0, 0.0]}),
+     "atom 0: expected a number, got '2'"),
+    (_set_atom("box", {"lo": [True, 0.0], "hi": [1.0, 1.0]}),
+     "atom 0: box lo[0] must be a number or null"),
+    (lambda doc: doc.update(name=[1]), "name must be a string"),
+    (lambda doc: doc.update(d=True), "d must be a positive integer"),
 ], ids=["p_mismatch", "atoms_not_list", "atom_not_object", "range_not_pair",
         "params_not_object", "smooth_quad_not_object", "l2ball_radius_list",
         "rho_inf", "l1_weight_inf", "linear_c_nan", "box_lo_nan", "witness_nan",
         "phi_star_inf", "rho_list", "A_not_numeric", "smooth_quad_c_list",
-        "phi_star_list"])
+        "phi_star_list", "l1_weight_string", "rho_string", "rho_bool", "b_strings",
+        "A_entry_string", "A_entry_bool", "linear_c_string", "l2ball_radius_string",
+        "box_lo_bool", "name_list", "d_bool"])
 def test_solve_malformed_problem_exits_1(tmp_path, qp_file, capsys, mutate, message):
     with open(qp_file) as fh:
         doc = json.load(fh)
@@ -268,6 +285,15 @@ def test_verify_empty_checks_exits_1(tight_file):
     assert main(["verify", tight_file, "--checks", " , "]) == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["--samples", "0"],
+    ["--samples", "-3", "--checks", "gradient_fd"],
+], ids=["zero", "negative_gradient_fd"])
+def test_verify_samples_below_one_exits_1(tight_file, capsys, args):
+    assert main(["verify", tight_file] + args) == 1
+    assert "error: --samples must be at least 1" in capsys.readouterr().err
+
+
 def test_verify_moreau_rejects_wide_multiplier(tmp_path):
     path = tmp_path / "wide.json"
     assert main(["bench", "--family", "qp", "--d", "6", "--p", "5",
@@ -293,9 +319,15 @@ def test_help_exits_0(capsys):
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "cli_smoke.json"
+    # the child must import the same almlab as this process, which pytest
+    # may have found through its own pythonpath setting
+    package_root = str(Path(al.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run(
         [sys.executable, "-m", "almlab", "bench", "--family",
          "tight_bound_family", "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert out.exists()

@@ -136,6 +136,17 @@ def test_gradient_fd_sampled_aggregates(qp_scalar):
     assert cert.num_samples == 10
 
 
+@pytest.mark.parametrize("check", [
+    lambda pb: al.check_smoothness(pb, n_pairs=0),
+    lambda pb: al.check_gradient_fd_sampled(pb, n_samples=0),
+    lambda pb: al.check_concavity(pb, n_pairs=0),
+    lambda pb: al.check_gradient_invariance(pb, n_inits=0),
+], ids=["smoothness", "gradient_fd_sampled", "concavity", "invariance"])
+def test_checks_reject_an_empty_budget(qp_scalar, check):
+    with pytest.raises(al.ValidationError, match="needs at least one sample"):
+        check(qp_scalar(1.0))
+
+
 def test_gradient_fd_rejects_bad_step(qp_scalar):
     with pytest.raises(al.ValidationError):
         al.check_gradient_fd(qp_scalar(1.0), np.zeros(1), h=0.0)
