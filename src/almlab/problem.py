@@ -16,7 +16,6 @@ import math
 
 import numpy as np
 
-from ._rng import SplitMix64
 from .atoms import CompositeFunction, ValidationError, _require_finite, _vector
 
 __all__ = [
@@ -25,8 +24,6 @@ __all__ = [
     "aug_lagrangian",
     "operator_norm_sq",
 ]
-
-_POWER_SEED = 0x5EED
 
 
 class ProblemInstance:
@@ -139,36 +136,10 @@ def aug_lagrangian(pb, x, lam) -> float:
     return float(base + 0.5 * pb.rho * float(r @ r))
 
 
-def operator_norm_sq(A, tol=1e-10, max_iter=1000) -> float:
-    """Largest squared singular value of A by power iteration on A'A.
-
-    Deterministic: the start vector comes from a fixed SplitMix64 stream
-    (seed 0x5EED), the loop caps at ``max_iter`` rounds and stops when the
-    Rayleigh quotient changes by less than ``tol`` relatively.  A zero
-    matrix returns 0.0 exactly.
-    """
+def operator_norm_sq(A) -> float:
+    """Largest squared singular value of A, from numpy's SVD-based matrix
+    2-norm; a zero matrix returns 0.0 exactly."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValidationError("operator_norm_sq expects a matrix")
-    if not np.any(A):
-        return 0.0
-    gen = SplitMix64(_POWER_SEED)
-    v = gen.uniform_vector(A.shape[1])
-    norm_v = float(np.linalg.norm(v))
-    v = v / norm_v
-    ray = 0.0
-    for _ in range(max_iter):
-        w = A @ v
-        ray_new = float(w @ w)
-        if abs(ray_new - ray) <= tol * max(1.0, abs(ray_new)):
-            return ray_new
-        ray = ray_new
-        u = A.T @ w
-        norm_u = float(np.linalg.norm(u))
-        if norm_u == 0.0:
-            # start vector fell in the null space; redraw deterministically
-            v = gen.uniform_vector(A.shape[1])
-            v = v / float(np.linalg.norm(v))
-            continue
-        v = u / norm_u
-    return ray
+    return float(np.linalg.norm(A, 2) ** 2)

@@ -86,6 +86,15 @@ def test_operator_norm_matches_svd_oracle():
         assert got == pytest.approx(want, rel=1e-8)
 
 
+def test_operator_norm_exact_with_close_singular_values():
+    # sigma_2 / sigma_1 = 0.999 stalls a power iteration far from sigma_1^2
+    rng = np.random.default_rng(0)
+    U, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    V, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    A = U @ np.diag([1.0, 0.999, 0.5, 0.3, 0.2, 0.1]) @ V.T
+    assert al.operator_norm_sq(A) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_operator_norm_deterministic():
     rng = np.random.default_rng(7)
     A = rng.standard_normal((6, 9))
