@@ -155,9 +155,6 @@ class Quadratic(Atom):
     def value_batch(self, X):
         return 0.5 * np.einsum("ni,ij,nj->n", X, self.Q, X) + X @ self.q + self.c
 
-    def gradient(self, x):
-        return self.Q @ x + self.q
-
     def curvature(self):
         return self._eig_max
 
@@ -340,12 +337,6 @@ class SmoothQuadratic:
             out = out + 0.5 * np.einsum("ni,ij,nj->n", X, self.Q, X)
         return out
 
-    def gradient(self, x):
-        g = self.q.copy()
-        if self.Q is not None:
-            g += self.Q @ x
-        return g
-
     def curvature(self):
         return self._eig_max
 
@@ -483,17 +474,6 @@ class CompositeFunction:
                 ]
                 self._nonsmooth = CompositeFunction(blocks)
         return self._nonsmooth
-
-    def quadratic_gradient(self, x) -> np.ndarray:
-        """Gradient of the quadratic pieces (quadratic atoms plus the extra term)."""
-        x = _vector(x, self.dim)
-        g = np.zeros(self.dim)
-        for atom, (start, stop) in self.blocks:
-            if isinstance(atom, Quadratic):
-                g[start:stop] = atom.gradient(x[start:stop])
-        if self.smooth_quad is not None:
-            g += self.smooth_quad.gradient(x)
-        return g
 
     def quadratic_curvature(self) -> float:
         """Upper bound on the Hessian of the quadratic pieces."""

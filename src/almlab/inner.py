@@ -2,19 +2,32 @@
 
 The subproblem is split as (smooth) + (nonsmooth):
 
-    smooth(x)    = lam'(Ax - b) + (rho/2)||Ax - b||^2 + quadratic pieces of f
+    smooth(x)    = 0.5 x'Hx + c'x + (terms free of x),  c = A'lam + q
     nonsmooth(x) = the remaining atoms of f
 
-and solved by proximal gradient with Nesterov momentum (FISTA) and a
-function-value restart: whenever the accelerated candidate increases the
-objective, the step falls back to the plain proximal-gradient point from the
-previous iterate, which makes the objective sequence nonincreasing.
+where H and q come from the instance's cached SubproblemPlan: H is rho A'A
+plus the quadratic pieces of f, built once per instance, and c is formed
+once per solve.  It is solved by proximal gradient with Nesterov momentum
+(FISTA) and a function-value restart: whenever the accelerated candidate
+increases the objective, the step falls back to the plain proximal-gradient
+point from the previous iterate, which makes the objective sequence
+nonincreasing.
+
+Each iteration multiplies H by the extrapolated point, for its gradient, and
+by the candidate.  The candidate's product gives both its gradient H x + c,
+once it is accepted, and with the previous iterate's product the objective
+change that the restart test reads (SubproblemPlan.increase).  That change
+is formed from the step itself rather than as a difference of two objective
+values, whose rounding would fire spurious restarts once the decrease per
+iteration falls below about 1e-16 |L_rho|.  A start outside dom f is worth
++inf, so its first candidate is always kept.
 
 The step is fixed at 0.99 / L with L = rho * sigma_max(A)^2 plus the
 curvature of the quadratic pieces; no backtracking, so runs are deterministic.
 Convergence is declared on the prox-gradient residual at the returned iterate
 (see CompositeFunction.prox_residual); the tolerance is therefore tied to the
-actual step t, which solvers report back in the solution.
+actual step t, which solvers report back in the solution.  obj_value is
+aug_lagrangian at the returned iterate, computed once per solve.
 """
 
 import math
@@ -32,7 +45,6 @@ __all__ = [
 ]
 
 _DIVERGE_FACTOR = 1e12
-_STEP_SAFETY = 0.99
 
 
 class DivergenceDetected(RuntimeError):
@@ -47,7 +59,8 @@ class InnerSolution:
     obj_value is aug_lagrangian(pb, x_plus, lam) exactly; constraint_map is
     A x_plus - b, i.e. the dual gradient estimate at lam.  converged=False
     means the residual target was not reached within max_iter and x_plus is
-    the best (lowest-objective) iterate seen.
+    the best (lowest-objective) iterate seen.  restarts counts the
+    iterations whose accelerated candidate raised the objective.
     """
 
     x_plus: np.ndarray
@@ -57,11 +70,13 @@ class InnerSolution:
     constraint_map: np.ndarray
     converged: bool
     step: float
+    restarts: int
 
 
 def _smooth_gradient(pb, x, aT_lam):
-    """Gradient of the smooth part: A'lam + rho A'(Ax - b) + quadratic pieces."""
-    return aT_lam + pb.rho * (pb.A.T @ (pb.A @ x - pb.b)) + pb.f.quadratic_gradient(x)
+    """Gradient of the smooth part, H x + (A'lam + q), as the solver forms it."""
+    plan = pb.subproblem_plan()
+    return plan.H @ x + (aT_lam + plan.q)
 
 
 def solve_subproblem(pb, lam, tol, x0=None, max_iter=100_000) -> InnerSolution:
@@ -80,54 +95,60 @@ def solve_subproblem(pb, lam, tol, x0=None, max_iter=100_000) -> InnerSolution:
     if max_iter < 1:
         raise ValidationError("inner max_iter must be at least 1")
     lam = _vector(lam, pb.p, "lam")
-    f_ns = pb.f.nonsmooth_part()
-    curv = pb.rho * pb.operator_norm_sq() + pb.f.quadratic_curvature()
-    t = _STEP_SAFETY / curv if curv > 0.0 else _STEP_SAFETY
+    plan = pb.subproblem_plan()
+    H, t, prox, increase = plan.H, plan.step, plan.nonsmooth.prox, plan.increase
+    c = pb.A.T @ lam + plan.q
 
     if x0 is not None:
         x = _vector(x0, pb.d, "x0").copy()
     else:
         x = np.zeros(pb.d)
-    diverge_bound = _DIVERGE_FACTOR * (1.0 + float(np.linalg.norm(x)))
-    aT_lam = pb.A.T @ lam
+    diverge_bound = _DIVERGE_FACTOR * (1.0 + math.sqrt(x @ x))
+    in_domain = math.isfinite(plan.nonsmooth.value(x))
 
-    obj = aug_lagrangian(pb, x, lam)
-    g = _smooth_gradient(pb, x, aT_lam)
-    z = f_ns.prox(t, x - t * g)
-    res = float(np.linalg.norm(x - z) / t)
-    if res <= tol and math.isfinite(obj):
-        return InnerSolution(x, res, 0, obj, pb.A @ x - pb.b, True, t)
+    Hx = H @ x
+    g = Hx + c
+    z = prox(t, x - t * g)
+    d = x - z
+    res = math.sqrt(d @ d) / t
+    if res <= tol and in_domain:
+        return InnerSolution(x, res, 0, aug_lagrangian(pb, x, lam), pb.A @ x - pb.b,
+                             True, t, 0)
 
     y = x
     g_y = g  # gradient at y is known whenever y coincides with x
     y_is_x = True
     theta = 1.0
-    iterations = 0
+    iterations = restarts = 0
     converged = False
     for k in range(1, max_iter + 1):
         if not y_is_x:
-            g_y = _smooth_gradient(pb, y, aT_lam)
-        x_new = f_ns.prox(t, y - t * g_y)
-        obj_new = aug_lagrangian(pb, x_new, lam)
-        if obj_new > obj:
+            g_y = H @ y + c
+        x_new = prox(t, y - t * g_y)
+        Hx_new = H @ x_new
+        if in_domain and increase(x, x_new, Hx, Hx_new, c) > 0.0:
             # restart: take the plain prox-gradient point from x instead,
             # which cannot increase the objective for t <= 1/L
             x_new = z
-            obj_new = aug_lagrangian(pb, z, lam)
+            Hx_new = H @ z
             theta = 1.0
+            restarts += 1
+        in_domain = True
         theta_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
         beta = (theta - 1.0) / theta_new
         y = x_new + beta * (x_new - x)
         y_is_x = beta == 0.0
-        x, obj, theta = x_new, obj_new, theta_new
-        if float(np.linalg.norm(x)) > diverge_bound:
+        x, Hx, theta = x_new, Hx_new, theta_new
+        norm_x = math.sqrt(x @ x)
+        if norm_x > diverge_bound:
             raise DivergenceDetected(
-                f"iterate norm {float(np.linalg.norm(x)):.3e} exceeded "
+                f"iterate norm {norm_x:.3e} exceeded "
                 f"{diverge_bound:.3e} after {k} iterations"
             )
-        g = _smooth_gradient(pb, x, aT_lam)
-        z = f_ns.prox(t, x - t * g)
-        res = float(np.linalg.norm(x - z) / t)
+        g = Hx + c
+        z = prox(t, x - t * g)
+        d = x - z
+        res = math.sqrt(d @ d) / t
         if y_is_x:
             g_y = g
         iterations = k
@@ -135,4 +156,5 @@ def solve_subproblem(pb, lam, tol, x0=None, max_iter=100_000) -> InnerSolution:
             converged = True
             break
 
-    return InnerSolution(x, res, iterations, obj, pb.A @ x - pb.b, converged, t)
+    return InnerSolution(x, res, iterations, aug_lagrangian(pb, x, lam), pb.A @ x - pb.b,
+                         converged, t, restarts)

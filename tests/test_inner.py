@@ -157,3 +157,141 @@ def test_brute_min_cross_checks_inner_solver(p_box):
     sol = al.solve_subproblem(pb, lam, 1e-10)
     assert abs(val - sol.obj_value) <= 1e-3
     assert abs(x_star[0] - sol.x_plus[0]) <= 1e-2
+
+
+# ---------------------------------------------------------------------------
+# the cached subproblem plan against the definitions
+
+
+_PLAN_CASES = ("zero", "quadratic", "l1", "box", "nonneg", "l2ball", "linear",
+               "multi_block", "smooth_quad_Q", "smooth_quad_q_only")
+
+
+def _plan_case(name):
+    """One instance per atom kind, a multi-block composite with a quadratic
+    block, and the quadratic term with and without Q."""
+    rng = np.random.default_rng(12)
+    d = 6
+    M = rng.standard_normal((d, d))
+    Q = M @ M.T / d
+    q = rng.standard_normal(d)
+    atoms = {
+        "zero": al.Zero(d),
+        "quadratic": al.Quadratic(Q, q, 0.7),
+        "l1": al.L1(d, 0.8),
+        "box": al.Box(-np.ones(d), 2.0 * np.ones(d)),
+        "nonneg": al.Nonneg(d),
+        "l2ball": al.L2Ball(1.5, 0.1 * np.ones(d)),
+        "linear": al.Linear(rng.standard_normal(d)),
+    }
+    cases = {k: al.CompositeFunction.single(a) for k, a in atoms.items()}
+    cases["multi_block"] = al.CompositeFunction([
+        (al.Quadratic(Q[:2, :2], q[:2], -0.3), (0, 2)),
+        (al.L1(2, 0.5), (2, 4)),
+        (al.Linear(np.array([0.4])), (4, 5)),
+        (al.Box(-np.ones(1), np.ones(1)), (5, 6)),
+    ])
+    cases["smooth_quad_Q"] = al.CompositeFunction.single(
+        al.Zero(d), smooth_quad=al.SmoothQuadratic(d, Q, q, 1.2))
+    cases["smooth_quad_q_only"] = al.CompositeFunction.single(
+        al.L1(d, 0.3), smooth_quad=al.SmoothQuadratic(d, None, q, -0.4))
+    # A has full column rank, so every subproblem has a unique minimizer
+    A = rng.standard_normal((8, d))
+    b = rng.standard_normal(8)
+    return al.ProblemInstance(cases[name], A, b, 1.3, name=name)
+
+
+def _quadratic_gradient(f, x):
+    """Gradient of the quadratic atoms and the quadratic term, block by block."""
+    g = np.zeros(f.dim)
+    for atom, (start, stop) in f.blocks:
+        if isinstance(atom, al.Quadratic):
+            g[start:stop] = atom.Q @ x[start:stop] + atom.q
+    if f.smooth_quad is not None:
+        g += f.smooth_quad.q
+        if f.smooth_quad.Q is not None:
+            g += f.smooth_quad.Q @ x
+    return g
+
+
+@pytest.mark.parametrize("name", _PLAN_CASES)
+def test_plan_gradient_and_increase_match_definitions(name):
+    pb = _plan_case(name)
+    plan = pb.subproblem_plan()
+    rng = np.random.default_rng(3)
+    lam = rng.standard_normal(pb.p)
+    c = pb.A.T @ lam + plan.q
+    # the increase is defined between prox outputs of the nonsmooth part
+    x1, x2 = (plan.nonsmooth.prox(plan.step, 2.0 * rng.standard_normal(pb.d))
+              for _ in range(2))
+    for x in (x1, x2):
+        want = pb.A.T @ lam + pb.rho * (pb.A.T @ (pb.A @ x - pb.b)) \
+            + _quadratic_gradient(pb.f, x)
+        got = _smooth_gradient(pb, x, pb.A.T @ lam)
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+    want = al.aug_lagrangian(pb, x2, lam) - al.aug_lagrangian(pb, x1, lam)
+    got = plan.increase(x1, x2, plan.H @ x1, plan.H @ x2, c)
+    assert abs(got - want) <= 1e-12 * (1.0 + abs(al.aug_lagrangian(pb, x2, lam)))
+    sol = al.solve_subproblem(pb, lam, 1e-10)
+    assert sol.converged
+    assert sol.obj_value == al.aug_lagrangian(pb, sol.x_plus, lam)
+
+
+def test_plan_arrays_are_read_only():
+    pb = _plan_case("multi_block")
+    plan = pb.subproblem_plan()
+    assert pb.subproblem_plan() is plan
+    for arr in (plan.H, plan.q, plan.l1_weight, plan.linear):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_operator_norm_runs_once_per_instance(monkeypatch):
+    calls = []
+
+    def counting(A):
+        calls.append(A)
+        return al.operator_norm_sq(A)
+
+    monkeypatch.setattr("almlab.problem.operator_norm_sq", counting)
+    pb = al.generate(al.BenchmarkSpec("nonneg_lp", 6, 3, 1.0, 4))
+    for lam in (np.zeros(3), np.ones(3), -np.ones(3)):
+        al.solve_subproblem(pb, lam, 1e-8)
+    assert len(calls) == 1
+
+
+def test_warm_start_outside_box_matches_cold_start():
+    # A has full column rank, so the minimizer is unique
+    rng = np.random.default_rng(8)
+    f = al.CompositeFunction.single(al.Box(-np.ones(3), np.ones(3)))
+    pb = al.ProblemInstance(f, rng.standard_normal((5, 3)), rng.standard_normal(5), 1.0)
+    lam = rng.standard_normal(5)
+    cold = al.solve_subproblem(pb, lam, 1e-10)
+    warm = al.solve_subproblem(pb, lam, 1e-10, x0=np.array([5.0, -5.0, 5.0]))
+    assert cold.converged and warm.converged
+    assert math.isfinite(warm.obj_value)
+    assert np.linalg.norm(warm.x_plus - cold.x_plus) <= 1e-8
+
+
+def test_restart_fires_on_an_ill_conditioned_quadratic():
+    # f = (x1^2 + 0.01 x2^2) / 2 with A = 0: the step is set by x1, so on x2
+    # the momentum carries the iterate past 0, after which |x2| and the
+    # objective grow until a restart resets the momentum
+    f = al.CompositeFunction.single(al.Quadratic(np.diag([1.0, 0.01])))
+    pb = al.ProblemInstance(f, np.zeros((1, 2)), np.zeros(1), 1.0)
+    sol = al.solve_subproblem(pb, np.zeros(1), 1e-10, x0=np.array([0.0, 1.0]))
+    assert sol.converged
+    assert 0 < sol.restarts <= sol.iterations
+
+
+@pytest.mark.parametrize("family, d, p", [("nonneg_lp", 20, 8), ("basis_pursuit", 16, 6),
+                                          ("qp", 24, 10)])
+def test_restarts_are_not_rounding_noise(family, d, p):
+    # at tol 1e-10 the decrease per iteration ends far below 1e-16 |L_rho|;
+    # a restart test that subtracts two objective values restarts on 25-37%
+    # of these iterations, one formed from the step on 2-4%
+    pb = al.generate(al.BenchmarkSpec(family, d, p, 1.0, 5))
+    rng = np.random.default_rng(1)
+    sols = [al.solve_subproblem(pb, rng.uniform(-5, 5, pb.p), 1e-10) for _ in range(5)]
+    assert all(s.converged for s in sols)
+    assert sum(s.restarts for s in sols) <= 0.1 * sum(s.iterations for s in sols)
