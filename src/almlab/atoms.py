@@ -1,5 +1,9 @@
 """Catalog of closed proper convex functions with exact value and prox oracles.
 
+Atoms whose conjugate has a closed form on a domain with nonempty interior
+(box, nonneg, l1 with positive weight, l2ball, positive-definite quadratic)
+also evaluate it exactly, with +inf off its domain.
+
 Atoms are immutable after construction and safe to share across threads.
 Their parameters must be finite; only box bounds may be infinite.
 Extended-real values are represented directly by ``math.inf``; an atom value
@@ -104,6 +108,16 @@ class Atom:
         """argmin_y  f(y) + ||y - v||^2 / (2*alpha)  for alpha > 0."""
         raise NotImplementedError
 
+    def has_conjugate(self) -> bool:
+        """Whether :meth:`conjugate_batch` is available: the conjugate has a
+        closed form whose domain has nonempty interior."""
+        return False
+
+    def conjugate_batch(self, Y) -> np.ndarray:
+        """Convex conjugate f*(y) = sup_x [y'x - f(x)] at the rows of Y, in
+        (-inf, +inf]; only where :meth:`has_conjugate` holds."""
+        raise NotImplementedError
+
     def curvature(self) -> float:
         """Upper bound on the largest Hessian eigenvalue when treated as smooth."""
         return 0.0
@@ -161,6 +175,14 @@ class Quadratic(Atom):
     def is_positive_definite(self):
         return self._eig_min > 0.0
 
+    def has_conjugate(self):
+        return self.is_positive_definite()
+
+    def conjugate_batch(self, Y):
+        # 0.5 (y - q)' Q^-1 (y - q) - c
+        S = Y - self.q
+        return 0.5 * np.einsum("ni,ni->n", S, np.linalg.solve(self.Q, S.T).T) - self.c
+
     def prox(self, alpha, v):
         v = _vector(v, self.dim, "v")
         inv = _ridge_inverse(self._ridge_cache, self.Q, alpha)
@@ -184,6 +206,14 @@ class L1(Atom):
 
     def value_batch(self, X):
         return self.weight * np.sum(np.abs(X), axis=1)
+
+    def has_conjugate(self):
+        return self.weight > 0.0
+
+    def conjugate_batch(self, Y):
+        # indicator of the weight-ball in the max-norm, with the ball slack
+        inside = np.max(np.abs(Y), axis=1) <= self.weight * (1.0 + _BALL_SLACK)
+        return np.where(inside, 0.0, np.inf)
 
     def prox(self, alpha, v):
         v = _vector(v, self.dim, "v")
@@ -228,7 +258,16 @@ class Box(Atom):
 
     def prox(self, alpha, v):
         v = _vector(v, self.dim, "v")
-        return np.clip(v, self.lo, self.hi)
+        return np.minimum(np.maximum(v, self.lo), self.hi)
+
+    def has_conjugate(self):
+        return True
+
+    def conjugate_batch(self, Y):
+        # support function sum_i max(y_i lo_i, y_i hi_i); y_i = 0 takes the
+        # bound 0, so an infinite bound never meets a zero
+        bound = np.where(Y > 0.0, self.hi, np.where(Y < 0.0, self.lo, 0.0))
+        return np.sum(bound * Y, axis=1)
 
 
 class Nonneg(Box):
@@ -272,6 +311,12 @@ class L2Ball(Atom):
         if n <= self.radius:
             return v.copy()
         return self.center + diff * (self.radius / n)
+
+    def has_conjugate(self):
+        return True
+
+    def conjugate_batch(self, Y):
+        return Y @ self.center + self.radius * np.linalg.norm(Y, axis=1)
 
 
 class Linear(Atom):
@@ -418,6 +463,27 @@ class CompositeFunction:
             total = total + atom.value_batch(X[:, start:stop])
         if self.smooth_quad is not None:
             total = total + self.smooth_quad.value_batch(X)
+        return total
+
+    def has_conjugate(self) -> bool:
+        """Whether :meth:`conjugate_batch` is available: every atom has one
+        and the quadratic term, if any, is linear (q and c only)."""
+        return ((self.smooth_quad is None or self.smooth_quad.Q is None)
+                and all(atom.has_conjugate() for atom, _ in self.blocks))
+
+    def conjugate_batch(self, Y) -> np.ndarray:
+        """Convex conjugate f*(y) at the rows of Y, in (-inf, +inf]: the sum
+        of the block conjugates, shifted by a linear quadratic term as
+        f*(y) = g*(y - q) - c.  Only where :meth:`has_conjugate` holds."""
+        Y = np.asarray(Y, dtype=float)
+        sq = self.smooth_quad
+        if sq is not None:
+            Y = Y - sq.q
+        total = np.zeros(Y.shape[0])
+        for atom, (start, stop) in self.blocks:
+            total = total + atom.conjugate_batch(Y[:, start:stop])
+        if sq is not None:
+            total = total - sq.c
         return total
 
     def _prox_blocks(self, alpha, v):

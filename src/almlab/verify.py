@@ -18,7 +18,9 @@ over; only the invariance check solves from its own random starts.
 Brute-force oracles here are deliberately independent of the solver path:
 they evaluate objectives on explicit grids and never call the inner solver,
 so a certificate failure points at a real defect (or an inadequate grid, for
-the grid-based identities).
+the grid-based identities).  The closed-form conjugates of the atoms, which
+the moreau check uses for the plain dual, are solver-independent oracles in
+the same sense: exact formulas that share no code with the inner solve.
 """
 
 import math
@@ -45,7 +47,7 @@ __all__ = [
 
 _MAX_GRID_TOTAL = 10_000_000
 _MAX_BRUTE_DIM = 4
-_REFINE_ROUNDS = 3
+_REFINE_ROUNDS = 5
 _INNER_MAX_ITER = 200_000
 _MIN_DIST_FRAC = 1e-3
 # resolution the default identity grids meet on boxes of half-width 10
@@ -161,7 +163,7 @@ def brute_min(objective, grid):
 def _refine(objective, grid, best_x, best_val):
     """Local refinement of a grid incumbent (best_x, best_val = objective there).
 
-    Each of three rounds re-grids a 5-point-per-axis neighborhood of the
+    Each of five rounds re-grids a 5-point-per-axis neighborhood of the
     incumbent at the current spacing, clipped to the grid box, then halves
     the spacing.  Returns the improved (argmin, min value).
     """
@@ -381,33 +383,29 @@ def _f_on_grid(pb, x_grid):
 
 
 class _StandardDualOracle:
-    """phi(w) = inf_x [f(x) + w'(Ax - b)], by closed form for a positive-
-    definite quadratic f, otherwise by scanning an x grid (d <= 3).
+    """phi(w) = inf_x [f(x) + w'(Ax - b)] = -f*(-A'w) - w'b.
 
-    The grid route truncates unbounded directions at the box edge, so a w
-    with phi(w) = -inf comes back merely very negative; values below
-    ``floor`` are treated as -inf by the callers.  The box must extend well
-    past the witness so escaping directions show up steeply.
+    Exact, with true -inf, when f has a closed-form conjugate
+    (``f.has_conjugate()``).  Otherwise phi is the minimum over an x grid
+    (d <= 3), which truncates unbounded directions at the box edge, so a w
+    with phi(w) = -inf comes back merely very negative.
     """
 
     def __init__(self, pb, x_grid=None):
         self.pb = pb
-        self.atom = _pd_quadratic(pb)
-        if self.atom is not None:
+        self.exact = pb.f.has_conjugate()
+        if self.exact:
             return
         if pb.d > 3:
             raise ValidationError(
-                "grid dual oracle needs d <= 3 unless f is a positive-definite quadratic"
+                "grid dual oracle needs d <= 3 unless f has a closed-form conjugate"
             )
         _, X, self.fX = _f_on_grid(pb, x_grid)
         self.R = X @ pb.A.T - pb.b
 
     def batch(self, W) -> np.ndarray:
-        if self.atom is not None:
-            Y = -(W @ self.pb.A)  # rows: -A'w
-            Z = np.linalg.solve(self.atom.Q, (Y - self.atom.q).T).T
-            fstar = 0.5 * np.einsum("ni,ni->n", Y - self.atom.q, Z) - self.atom.c
-            return -fstar - W @ self.pb.b
+        if self.exact:
+            return -self.pb.f.conjugate_batch(-(W @ self.pb.A)) - W @ self.pb.b
         out = np.empty(W.shape[0])
         rows = max(1, int(5_000_000 // max(self.R.shape[0], 1)))
         for start in range(0, W.shape[0], rows):
@@ -431,21 +429,25 @@ def _lattice_certificate(check_name, pb, tol_inner, residual, label, details):
                         0, {"grid_budget": _GRID_BUDGET, "inner_term": 3.0 * tol_inner, **details})
 
 
-def check_moreau_identity(pb, w_grid=None, x_grid=None, tol_inner=1e-8,
-                          neg_inf_floor=-1e9) -> Certificate:
+def check_moreau_identity(pb, w_grid=None, x_grid=None, tol_inner=1e-8) -> Certificate:
     """Moreau-envelope form of the augmented dual.
 
     With phi the plain dual, the envelope  min_w [-phi(w) + ||w-lam||^2/(2 rho)]
     must equal minus the augmented dual value at each lam of the integer
     lattice {-3..3}^p.  The envelope is taken by brute force over w_grid
-    (p <= 3), refined around the incumbent by :func:`_refine`; phi comes from
-    an independent closed-form or x-grid oracle.  Grid points with
-    phi(w) = -inf (detected as values below neg_inf_floor) are skipped and
+    (p <= 3), refined around the incumbent by :func:`_refine`.  phi is exact,
+    -f*(-A'w) - w'b with true -inf, whenever f has a closed-form conjugate:
+    box, nonneg, l1 with positive weight, l2ball and positive-definite
+    quadratic atoms, plus a quadratic term with q and c only.  A dense
+    quadratic term, or a zero, linear, weight-0 l1 or singular quadratic
+    atom, falls back to the minimum over x_grid, which needs d <= 3; x_grid
+    is unused otherwise.  Grid points with phi(w) = -inf are skipped and
     counted.
 
     The threshold is 1e-3 + 3 * tol_inner; 1e-3 is the resolution budget the
     default grids meet on boxes of half-width 10, not a per-instance error
-    bound, so a coarser w_grid or x_grid may fail honestly.
+    bound, so a coarser w_grid or x_grid may fail honestly.  A dual domain
+    thin against the w-grid spacing can fail on resolution alone.
     """
     if pb.p > 3:
         raise ValidationError("moreau check needs p <= 3")
@@ -453,12 +455,8 @@ def check_moreau_identity(pb, w_grid=None, x_grid=None, tol_inner=1e-8,
     if w_grid is None:
         w_grid = GridSpec.cube(pb.p)
 
-    def neg_phi(P):
-        phi = oracle.batch(P)
-        return np.where(phi < neg_inf_floor, np.inf, -phi)
-
     W = _grid_points(w_grid)
-    negphi = neg_phi(W)
+    negphi = -oracle.batch(W)
     skipped = int(np.sum(np.isposinf(negphi)))
     if not np.any(np.isfinite(negphi)):
         raise ValidationError("plain dual is -inf on the entire w grid")
@@ -471,12 +469,12 @@ def check_moreau_identity(pb, w_grid=None, x_grid=None, tol_inner=1e-8,
 
         vals = envelope(W, negphi)
         i = int(np.argmin(vals))
-        _, best_val = _refine(lambda P: envelope(P, neg_phi(P)), w_grid,
+        _, best_val = _refine(lambda P: envelope(P, -oracle.batch(P)), w_grid,
                               W[i], float(vals[i]))
         return best_val + sol.obj_value
 
     details = {"skipped_neg_inf": skipped, "w_points_per_axis": w_grid.points_per_axis,
-               "closed_form_dual": oracle.atom is not None}
+               "closed_form_dual": oracle.exact}
     return _lattice_certificate("moreau", pb, tol_inner, envelope_plus_dual,
                                 "envelope + dual", details)
 

@@ -243,6 +243,79 @@ def test_moreau_envelope_gradient_is_lipschitz():
 
 
 # ---------------------------------------------------------------------------
+# conjugates
+
+
+def conjugate_cases():
+    """Every atom kind with a closed-form conjugate, each as a composite, plus
+    a composite whose quadratic term has q and c only."""
+    rng = np.random.default_rng(21)
+    B = rng.standard_normal((4, 4))
+    Q = B @ B.T / 4.0 + 0.5 * np.eye(4)
+    Q = 0.5 * (Q + Q.T)
+    single = al.CompositeFunction.single
+    return [
+        ("quadratic", single(al.Quadratic(Q, rng.standard_normal(4), 0.3))),
+        ("l1", single(al.L1(4, weight=0.7))),
+        ("box", single(al.Box(np.array([-1.0, 0.0, -np.inf, -2.0]),
+                              np.array([1.0, np.inf, 3.0, -1.0])))),
+        ("nonneg", single(al.Nonneg(3))),
+        ("l2ball", single(al.L2Ball(2.0, np.array([0.5, -0.5, 1.0])))),
+        ("linear_term", al.CompositeFunction(
+            [(al.L1(2, weight=0.5), (0, 2)), (al.Box(-np.ones(2), 2.0 * np.ones(2)), (2, 4))],
+            smooth_quad=al.SmoothQuadratic(4, q=np.array([0.8, -0.3, 1.5, -2.0]), c=-1.2))),
+    ]
+
+
+def test_conjugate_availability():
+    for name, f in conjugate_cases():
+        assert f.has_conjugate(), name
+    # conjugates whose domain is a point or a subspace are left out
+    for atom in [al.Zero(2), al.Linear(np.ones(2)), al.L1(2, weight=0.0),
+                 al.Quadratic(np.diag([1.0, 0.0]))]:
+        assert not atom.has_conjugate(), atom
+    dense = al.SmoothQuadratic(2, Q=np.eye(2))
+    assert not al.CompositeFunction.single(al.Nonneg(2), smooth_quad=dense).has_conjugate()
+
+
+def test_fenchel_young_equality_at_prox_outputs():
+    # x = prox_{alpha f}(v) and y = (v - x)/alpha satisfy y in df(x), where
+    # f(x) + f*(y) = x'y holds with equality
+    rng = np.random.default_rng(22)
+    for name, f in conjugate_cases():
+        for _ in range(200):
+            alpha = float(rng.uniform(0.05, 5.0))
+            v = rng.uniform(-10, 10, f.dim)
+            x = f.prox(alpha, v)
+            y = (v - x) / alpha
+            xy = float(x @ y)
+            fstar = float(f.conjugate_batch(y[None, :])[0])
+            assert abs(f.value(x) + fstar - xy) <= 1e-9 * (1.0 + abs(xy)), name
+
+
+def test_fenchel_young_inequality_at_sampled_points():
+    rng = np.random.default_rng(23)
+    for name, f in conjugate_cases():
+        # prox outputs of uniform points: interior and boundary points of dom f
+        X = np.array([f.prox(1.0, v) for v in rng.uniform(-4, 4, (50, f.dim))])
+        fX = f.value_batch(X)
+        Y = rng.uniform(-3, 3, (200, f.dim))
+        fstar = f.conjugate_batch(Y)
+        assert np.all(fstar > -np.inf) and not np.any(np.isnan(fstar)), name
+        YX = Y @ X.T
+        assert np.all(fstar[:, None] >= YX - fX[None, :] - 1e-9 * (1.0 + np.abs(YX))), name
+
+
+def test_box_conjugate_at_zero_with_infinite_bounds():
+    box = al.Box(np.array([-np.inf, 0.0, -np.inf]), np.array([np.inf, np.inf, 1.0]))
+    Y = np.array([[0.0, 0.0, 0.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0],
+                  [0.0, 0.0, 2.0], [0.0, 0.0, -1.0]])
+    with np.errstate(all="raise"):
+        got = box.conjugate_batch(Y)
+    assert np.array_equal(got, [0.0, 0.0, np.inf, 2.0, np.inf])
+
+
+# ---------------------------------------------------------------------------
 # composites
 
 

@@ -196,7 +196,7 @@ def test_moreau_identity_p_box_grid(p_box):
     cert = al.check_moreau_identity(p_box(1.0), tol_inner=1e-8)
     assert_consistent(cert)
     assert cert.passed
-    assert cert.details["closed_form_dual"] is False
+    assert cert.details["closed_form_dual"] is True
     assert cert.worst_violation <= 1e-3
 
 
@@ -207,11 +207,62 @@ def test_moreau_identity_p_rank(p_rank):
 
 
 def test_moreau_skips_unbounded_dual_values(p_box):
-    # with a floor above the truncated values, the w < 0 half of the grid is
-    # treated as -infinity and skipped; the identity must still hold
-    cert = al.check_moreau_identity(p_box(1.0), tol_inner=1e-8, neg_inf_floor=-50.0)
-    assert cert.details["skipped_neg_inf"] > 0
+    # phi(w) = -inf exactly for w < 0: that half of the 2001-point grid is
+    # skipped and counted; the identity must still hold
+    cert = al.check_moreau_identity(p_box(1.0), tol_inner=1e-8)
+    assert cert.details["skipped_neg_inf"] == 1000
     assert cert.passed
+
+
+def _dense_quad_over_nonneg(d):
+    # f = indicator(x >= 0) + x'Qx/2 with a dense Q: no closed-form conjugate
+    Q = 1.7 * np.eye(d) + 0.5 * (np.ones((d, d)) - np.eye(d))
+    f = al.CompositeFunction.single(al.Nonneg(d), smooth_quad=al.SmoothQuadratic(d, Q=Q))
+    return al.ProblemInstance(f, np.ones((1, d)), np.ones(1), 1.0, name="dense_quad")
+
+
+def test_moreau_dense_quadratic_term_uses_x_grid():
+    # at d = 1 the 2001-point x grid resolves a curved f within the budget
+    cert = al.check_moreau_identity(_dense_quad_over_nonneg(1), tol_inner=1e-8)
+    assert_consistent(cert)
+    assert cert.passed
+    assert cert.details["closed_form_dual"] is False
+
+
+def test_moreau_x_grid_route_rejects_large_d():
+    with pytest.raises(al.ValidationError, match="d <= 3"):
+        al.check_moreau_identity(_dense_quad_over_nonneg(4))
+
+
+def _c04_instances(qp_scalar):
+    return [qp_scalar(1.0)] + [al.generate(al.BenchmarkSpec(*spec)) for spec in [
+        ("tight_bound_family", 1, 1, 1.0, 0), ("rank_deficient_box", 2, 2, 1.0, 0),
+        ("qp", 3, 2, 1.0, 6), ("nonneg_lp", 2, 1, 1.0, 0)]]
+
+
+def test_exact_plain_dual_is_below_x_grid_minimum(qp_scalar):
+    # phi(w) is an infimum over all x, so it can only lie below the minimum
+    # over any x grid; an 11-point grid keeps the reference scan small
+    from almlab.verify import _StandardDualOracle, _f_on_grid, _grid_points
+    for pb in _c04_instances(qp_scalar):
+        W = _grid_points(al.GridSpec.cube(pb.p))
+        exact = _StandardDualOracle(pb).batch(W)
+        _, X, fX = _f_on_grid(pb, al.GridSpec.cube(pb.d, 10.0, 11))
+        R = X @ pb.A.T - pb.b
+        grid = np.concatenate([np.min(fX[None, :] + W[i:i + 1000] @ R.T, axis=1)
+                               for i in range(0, W.shape[0], 1000)])
+        assert np.any(np.isfinite(exact)), pb.name
+        assert np.all(exact <= grid + 1e-12), pb.name
+
+
+def test_moreau_builds_no_x_grid_on_the_families(monkeypatch, qp_scalar):
+    def no_grid(pb, x_grid):
+        raise AssertionError("x grid built")
+
+    monkeypatch.setattr("almlab.verify._f_on_grid", no_grid)
+    for pb in _c04_instances(qp_scalar)[1:]:
+        cert = al.check_moreau_identity(pb, tol_inner=1e-8)
+        assert cert.details["closed_form_dual"] is True, pb.name
 
 
 def test_moreau_rejects_large_p():
