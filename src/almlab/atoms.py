@@ -76,21 +76,8 @@ def _check_symmetric_psd(Q, name):
     return float(eigs[0]), float(eigs[-1])
 
 
-def _ridge_inverse(cache, Q, alpha):
-    """(I + alpha Q)^-1, cached in ``cache`` per step size alpha."""
-    key = float(alpha)
-    inv = cache.get(key)
-    if inv is None:
-        # (I + alpha Q) is SPD for alpha > 0, so the inverse is stable here
-        inv = np.linalg.inv(np.eye(Q.shape[0]) + key * Q)
-        cache[key] = inv
-    return inv
-
-
 class Atom:
     """A closed proper convex function on R^dim with exact value and prox."""
-
-    kind = "abstract"
 
     def __init__(self, dim):
         if int(dim) != dim or dim < 1:
@@ -118,18 +105,12 @@ class Atom:
         (-inf, +inf]; only where :meth:`has_conjugate` holds."""
         raise NotImplementedError
 
-    def curvature(self) -> float:
-        """Upper bound on the largest Hessian eigenvalue when treated as smooth."""
-        return 0.0
-
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
 
 
 class Zero(Atom):
     """f(x) = 0."""
-
-    kind = "zero"
 
     def value(self, x):
         _vector(x, self.dim)
@@ -144,8 +125,6 @@ class Zero(Atom):
 
 class Quadratic(Atom):
     """f(x) = 0.5 x'Qx + q'x + c with symmetric positive semidefinite Q."""
-
-    kind = "quadratic"
 
     def __init__(self, Q, q=None, c=0.0):
         Q = np.asarray(Q, dtype=float)
@@ -170,6 +149,7 @@ class Quadratic(Atom):
         return 0.5 * np.einsum("ni,ij,nj->n", X, self.Q, X) + X @ self.q + self.c
 
     def curvature(self):
+        """Largest eigenvalue of Q."""
         return self._eig_max
 
     def is_positive_definite(self):
@@ -185,14 +165,17 @@ class Quadratic(Atom):
 
     def prox(self, alpha, v):
         v = _vector(v, self.dim, "v")
-        inv = _ridge_inverse(self._ridge_cache, self.Q, alpha)
-        return inv @ (v - float(alpha) * self.q)
+        key = float(alpha)
+        inv = self._ridge_cache.get(key)
+        if inv is None:
+            # (I + alpha Q) is SPD for alpha > 0, so the inverse is stable here
+            inv = np.linalg.inv(np.eye(self.dim) + key * self.Q)
+            self._ridge_cache[key] = inv
+        return inv @ (v - key * self.q)
 
 
 class L1(Atom):
     """f(x) = weight * sum_i |x_i| with weight >= 0."""
-
-    kind = "l1"
 
     def __init__(self, dim, weight=1.0):
         super().__init__(dim)
@@ -223,8 +206,6 @@ class L1(Atom):
 
 class Box(Atom):
     """Indicator of {lo <= x <= hi}; entries of lo/hi may be -inf/+inf."""
-
-    kind = "box"
 
     def __init__(self, lo, hi):
         lo = np.asarray(lo, dtype=float)
@@ -271,9 +252,7 @@ class Box(Atom):
 
 
 class Nonneg(Box):
-    """Indicator of the nonnegative orthant: Box(0, +inf) under its own kind."""
-
-    kind = "nonneg"
+    """Indicator of the nonnegative orthant: Box(0, +inf), serialized as nonneg."""
 
     def __init__(self, dim):
         Atom.__init__(self, dim)  # reject a bad dim before numpy sees it
@@ -282,8 +261,6 @@ class Nonneg(Box):
 
 class L2Ball(Atom):
     """Indicator of the Euclidean ball {||x - center|| <= radius}, radius > 0."""
-
-    kind = "l2ball"
 
     def __init__(self, radius, center):
         center = _vector(center, None, "center")
@@ -321,8 +298,6 @@ class L2Ball(Atom):
 
 class Linear(Atom):
     """f(x) = c'x."""
-
-    kind = "linear"
 
     def __init__(self, c):
         c = _vector(c, None, "c")
@@ -368,7 +343,6 @@ class SmoothQuadratic:
         self.c = float(c)
         _require_finite(self.q, "quadratic term q")
         _require_finite(self.c, "quadratic term c")
-        self._ridge_cache = {}
 
     def value(self, x):
         out = float(self.q @ x) + self.c
@@ -383,13 +357,8 @@ class SmoothQuadratic:
         return out
 
     def curvature(self):
+        """Largest eigenvalue of Q; 0.0 without Q."""
         return self._eig_max
-
-    def ridge_solve(self, alpha, rhs):
-        """Solve (I + alpha Q) y = rhs, caching the inverse per step size."""
-        if self.Q is None:
-            return rhs.copy()
-        return _ridge_inverse(self._ridge_cache, self.Q, alpha) @ rhs
 
 
 class CompositeFunction:
@@ -438,7 +407,6 @@ class CompositeFunction:
         if smooth_quad is not None and smooth_quad.dim != self.dim:
             raise ValidationError("quadratic term dimension does not match the blocks")
         self.smooth_quad = smooth_quad
-        self._nonsmooth = None
 
     @classmethod
     def single(cls, atom, smooth_quad=None):
@@ -486,27 +454,20 @@ class CompositeFunction:
             total = total - sq.c
         return total
 
-    def _prox_blocks(self, alpha, v):
-        out = np.empty(self.dim)
-        for atom, (start, stop) in self.blocks:
-            out[start:stop] = atom.prox(alpha, v[start:stop])
-        return out
-
     def prox(self, alpha, v) -> np.ndarray:
+        """Blockwise prox; a quadratic term must be linear (q and c only)."""
         if not (float(alpha) > 0.0):
             raise ValidationError("prox step alpha must be positive")
         v = _vector(v, self.dim, "v")
         sq = self.smooth_quad
-        if sq is None:
-            return self._prox_blocks(alpha, v)
-        if sq.Q is None:
-            # linear tilt shifts the prox argument exactly
-            return self._prox_blocks(alpha, v - alpha * sq.q)
-        if all(isinstance(atom, Zero) for atom, _ in self.blocks):
-            return sq.ridge_solve(alpha, v - alpha * sq.q)
-        raise ValidationError(
-            "prox unavailable: dense quadratic term combined with nonsmooth atoms"
-        )
+        if sq is not None:
+            if sq.Q is not None:
+                raise ValidationError("prox unavailable: dense quadratic term")
+            v = v - alpha * sq.q  # a linear tilt shifts the prox argument exactly
+        out = np.empty(self.dim)
+        for atom, (start, stop) in self.blocks:
+            out[start:stop] = atom.prox(alpha, v[start:stop])
+        return out
 
     def prox_residual(self, x, grad_smooth, t) -> float:
         """Prox-gradient residual (1/t) ||x - prox_{t f}(x - t g)||.
@@ -521,31 +482,6 @@ class CompositeFunction:
         g = _vector(grad_smooth, self.dim, "grad_smooth")
         step = self.prox(t, x - t * g)
         return float(np.linalg.norm(x - step) / t)
-
-    def nonsmooth_part(self) -> "CompositeFunction":
-        """Copy with quadratic atoms replaced by Zero and the quadratic term dropped.
-
-        This is the part a splitting solver handles by prox; quadratic pieces
-        are meant to go through the gradient.
-        """
-        if self._nonsmooth is None:
-            if self.smooth_quad is None and not any(
-                isinstance(atom, Quadratic) for atom, _ in self.blocks
-            ):
-                self._nonsmooth = self
-            else:
-                blocks = [
-                    (Zero(stop - start) if isinstance(atom, Quadratic) else atom, (start, stop))
-                    for atom, (start, stop) in self.blocks
-                ]
-                self._nonsmooth = CompositeFunction(blocks)
-        return self._nonsmooth
-
-    def quadratic_curvature(self) -> float:
-        """Upper bound on the Hessian of the quadratic pieces."""
-        block_curv = max((atom.curvature() for atom, _ in self.blocks), default=0.0)
-        extra = self.smooth_quad.curvature() if self.smooth_quad is not None else 0.0
-        return block_curv + extra
 
     def __repr__(self):
         parts = ", ".join(f"{atom!r}@[{a},{b})" for atom, (a, b) in self.blocks)

@@ -13,6 +13,7 @@ verify and bench subcommands.
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -47,6 +48,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _finite(text):
+    """The argparse type of every float flag and every --lam0 entry."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _finite_list(text):
+    return np.array([_finite(t) for t in text.split(",")])
+
+
 def _build_parser():
     parser = _Parser(prog="almlab",
                      description="Augmented Lagrangian solver and dual-smoothness "
@@ -56,12 +72,12 @@ def _build_parser():
     ps = sub.add_parser("solve", help="run dual ascent on a problem file")
     ps.add_argument("problem", help="path to a problem JSON file")
     ps.add_argument("--method", choices=("alm", "accelerated"), default="alm")
-    ps.add_argument("--lam0", default=None,
+    ps.add_argument("--lam0", type=_finite_list, default=None,
                     help="comma-separated initial multiplier (default: zeros)")
     ps.add_argument("--max-outer", type=int, default=500)
-    ps.add_argument("--grad-stop", type=float, default=1e-6)
-    ps.add_argument("--inner-tol0", type=float, default=1e-4)
-    ps.add_argument("--inner-factor", type=float, default=0.5,
+    ps.add_argument("--grad-stop", type=_finite, default=1e-6)
+    ps.add_argument("--inner-tol0", type=_finite, default=1e-4)
+    ps.add_argument("--inner-factor", type=_finite, default=0.5,
                     help="geometric inner-tolerance decay per outer iteration")
     ps.add_argument("--trace-out", default=None, help="write the trace CSV here")
     ps.set_defaults(func=_cmd_solve)
@@ -74,9 +90,9 @@ def _build_parser():
     pv.add_argument("--samples", type=int, default=200,
                     help="pair budget for smoothness; fd and concavity use a quarter")
     pv.add_argument("--report-out", default=None, help="write the JSON report here")
-    pv.add_argument("--inner-tol", type=float, default=1e-8)
-    pv.add_argument("--radius", type=float, default=10.0)
-    pv.add_argument("--fd-h", type=float, default=1e-4)
+    pv.add_argument("--inner-tol", type=_finite, default=1e-8)
+    pv.add_argument("--radius", type=_finite, default=10.0)
+    pv.add_argument("--fd-h", type=_finite, default=1e-4)
     pv.add_argument("--grid-points", type=int, default=None,
                     help="points per axis for the moreau/conjugate grids")
     pv.set_defaults(func=_cmd_verify)
@@ -85,7 +101,7 @@ def _build_parser():
     pb.add_argument("--family", required=True, choices=FAMILIES)
     pb.add_argument("--d", type=int, default=None)
     pb.add_argument("--p", type=int, default=None)
-    pb.add_argument("--rho", type=float, default=1.0)
+    pb.add_argument("--rho", type=_finite, default=1.0)
     pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--out", default=None,
                     help="output path (default: <instance name>.json)")
@@ -106,13 +122,6 @@ def _env_seed(seed):
 
 def _cmd_solve(args) -> int:
     pb = read_problem(args.problem)
-    if args.lam0 is None:
-        lam0 = None
-    else:
-        try:
-            lam0 = np.array([float(t) for t in args.lam0.split(",")])
-        except ValueError:
-            raise ValidationError(f"--lam0 must be comma-separated numbers, got {args.lam0!r}")
     settings = OuterSettings(
         max_outer=args.max_outer,
         inner_tol0=args.inner_tol0,
@@ -120,7 +129,7 @@ def _cmd_solve(args) -> int:
         grad_stop=args.grad_stop,
     )
     method = accelerated_alm if args.method == "accelerated" else alm
-    trace = method(pb, lam0=lam0, settings=settings)
+    trace = method(pb, lam0=args.lam0, settings=settings)
     last = trace.records[-1]
     print(f"instance {pb.name}: d={pb.d} p={pb.p} rho={pb.rho:g} method={args.method}")
     print(f"terminated: {trace.terminated_reason} after {len(trace.records)} recorded "

@@ -77,10 +77,15 @@ def _is_int(value):
 
 def _number(value):
     """value as a float.  float() would also convert numeric strings and
-    booleans, so those raise TypeError, as every other non-number does."""
+    booleans, so those raise TypeError, as every other non-number does.  An
+    integer beyond the double range raises ValueError: it has no finite float."""
     if isinstance(value, (str, bool)):
         raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("integer beyond the float range; every number must be "
+                         "finite") from None
 
 
 def _numbers(value):
@@ -104,7 +109,10 @@ def _bound_array(lst, fill, name):
         if t is None:
             out[i] = fill
         elif _is_int(t) or isinstance(t, float):
-            out[i] = float(t)
+            try:
+                out[i] = _number(t)
+            except ValueError as exc:
+                raise ValidationError(f"{name}[{i}]: {exc}") from None
         else:
             raise ValidationError(f"{name}[{i}] must be a number or null")
     return out

@@ -73,12 +73,6 @@ class InnerSolution:
     restarts: int
 
 
-def _smooth_gradient(pb, x, aT_lam):
-    """Gradient of the smooth part, H x + (A'lam + q), as the solver forms it."""
-    plan = pb.subproblem_plan()
-    return plan.H @ x + (aT_lam + plan.q)
-
-
 def solve_subproblem(pb, lam, tol, x0=None, max_iter=100_000) -> InnerSolution:
     """Minimize the augmented Lagrangian over x at fixed lam.
 

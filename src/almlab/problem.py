@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atoms import (
-    L1, CompositeFunction, Linear, Quadratic, ValidationError, _require_finite, _vector,
+    L1, CompositeFunction, Linear, Quadratic, ValidationError, Zero, _require_finite, _vector,
 )
 
 __all__ = [
@@ -136,8 +136,10 @@ class SubproblemPlan:
         L_rho(x, lam) = 0.5 x'Hx + c'x + nonsmooth(x) + (terms free of x)
 
     where H = rho A'A plus the quadratic atoms' and the quadratic term's Q,
-    q = -rho A'b plus their q, and nonsmooth is f with its quadratic pieces
-    dropped.  The gradient of the smooth part is H x + c.
+    q = -rho A'b plus their q, and nonsmooth is f with each quadratic atom
+    replaced by Zero and the quadratic term dropped: build alone decides which
+    pieces of f go by gradient and which by prox.  The gradient of the smooth
+    part is H x + c.
 
     l1_weight and linear hold the l1 weights and linear coefficients per
     coordinate, 0 off their blocks, and are None where they are 0 everywhere.
@@ -159,27 +161,33 @@ class SubproblemPlan:
         q = -rho * (A.T @ b)
         l1_weight = np.zeros(pb.d)
         linear = np.zeros(pb.d)
+        curv = 0.0
+        blocks = []
         for atom, (start, stop) in f.blocks:
             if isinstance(atom, Quadratic):
                 H[start:stop, start:stop] += atom.Q
                 q[start:stop] += atom.q
+                curv = max(curv, atom.curvature())
+                atom = Zero(stop - start)
             elif isinstance(atom, L1):
                 l1_weight[start:stop] = atom.weight
             elif isinstance(atom, Linear):
                 linear[start:stop] = atom.c
+            blocks.append((atom, (start, stop)))
         sq = f.smooth_quad
         if sq is not None:
             if sq.Q is not None:
                 H += sq.Q
             q += sq.q
+            curv += sq.curvature()
         l1_weight = l1_weight if l1_weight.any() else None
         linear = linear if linear.any() else None
         for arr in (H, q, l1_weight, linear):
             if arr is not None:
                 arr.setflags(write=False)
-        curv = rho * pb.operator_norm_sq() + f.quadratic_curvature()
+        curv = rho * pb.operator_norm_sq() + curv
         step = _STEP_SAFETY / curv if curv > 0.0 else _STEP_SAFETY
-        return cls(H, q, step, f.nonsmooth_part(), l1_weight, linear)
+        return cls(H, q, step, CompositeFunction(blocks), l1_weight, linear)
 
     def increase(self, x, x_new, Hx, Hx_new, c) -> float:
         """L_rho(x_new, lam) - L_rho(x, lam) for x, x_new prox outputs of

@@ -446,7 +446,10 @@ def check_moreau_identity(pb, w_grid=None, x_grid=None, tol_inner=1e-8) -> Certi
 
     The threshold is 1e-3 + 3 * tol_inner; 1e-3 is the resolution budget the
     default grids meet on boxes of half-width 10, not a per-instance error
-    bound, so a coarser w_grid or x_grid may fail honestly.  A dual domain
+    bound, so a coarser w_grid or x_grid may fail honestly.  On the exact
+    route the budget holds; on the x-grid fallback only for polyhedral f or
+    d = 1, since the x spacing leaves an O(h^2 ||Q||) error in a curved phi
+    (a curved f at d = 2 measured 2.85e-3 and 4.4e-3).  A dual domain
     thin against the w-grid spacing can fail on resolution alone.
     """
     if pb.p > 3:

@@ -41,7 +41,7 @@ def test_every_atom_kind_round_trips_through_problem_dict():
     kinds = [kind for kind, _ in sample_atoms()]
     assert [rec["kind"] for rec in doc["atoms"]] == kinds
     back = al.problem_from_dict(doc)
-    assert [atom.kind for atom, _ in back.f.blocks] == kinds
+    assert [type(atom) for atom, _ in back.f.blocks] == [type(a) for _, a in sample_atoms()]
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +356,10 @@ def test_composite_prox_with_dense_quadratic_and_atom_raises():
     rng = np.random.default_rng(13)
     B = rng.standard_normal((2, 2))
     sq = al.SmoothQuadratic(2, Q=0.5 * (B @ B.T + B.T @ B))
-    f = al.CompositeFunction([(al.L1(2), (0, 2))], smooth_quad=sq)
-    with pytest.raises(al.ValidationError, match="prox unavailable"):
-        f.prox(1.0, np.zeros(2))
+    for atom in (al.L1(2), al.Zero(2)):
+        f = al.CompositeFunction([(atom, (0, 2))], smooth_quad=sq)
+        with pytest.raises(al.ValidationError, match="prox unavailable"):
+            f.prox(1.0, np.zeros(2))
 
 
 def test_composite_partition_validation():
@@ -373,14 +374,16 @@ def test_composite_partition_validation():
 
 
 def test_nonsmooth_part_strips_quadratics():
-    Q = np.eye(2)
+    # the subproblem plan takes the quadratic pieces by gradient, not by prox
+    Q = np.diag([2.0, 1.0])
     f = al.CompositeFunction([(al.Quadratic(Q), (0, 2)), (al.Nonneg(1), (2, 3))],
                              smooth_quad=al.SmoothQuadratic(3, q=np.ones(3)))
-    g = f.nonsmooth_part()
+    plan = al.ProblemInstance(f, np.zeros((1, 3)), np.zeros(1), 1.0).subproblem_plan()
+    g = plan.nonsmooth
     x = np.array([2.0, -1.0, 1.0])
     assert g.value(x) == 0.0  # quadratic block replaced by zero, tilt dropped
-    assert g.quadratic_curvature() == 0.0
-    assert f.quadratic_curvature() > 0.0
+    assert g.smooth_quad is None
+    assert plan.step == 0.99 / 2.0  # A = 0: the curvature is that of Q alone
 
 
 # ---------------------------------------------------------------------------

@@ -208,13 +208,19 @@ def _set_atom(kind, params):
      "atom 0: box lo[0] must be a number or null"),
     (lambda doc: doc.update(name=[1]), "name must be a string"),
     (lambda doc: doc.update(d=True), "d must be a positive integer"),
+    # json.dumps writes 10**400 as an integer literal, which no double holds
+    (lambda doc: doc.update(b=[10**400]), "b: integer beyond the float range"),
+    (lambda doc: doc.update(rho=10**400), "rho: integer beyond the float range"),
+    (_set_atom("box", {"lo": [0.0, 0.0], "hi": [1.0, 10**400]}),
+     "atom 0: box hi[1]: integer beyond the float range"),
 ], ids=["p_mismatch", "atoms_not_list", "atom_not_object", "range_not_pair",
         "params_not_object", "smooth_quad_not_object", "l2ball_radius_list",
         "rho_inf", "l1_weight_inf", "linear_c_nan", "box_lo_nan", "witness_nan",
         "phi_star_inf", "rho_list", "A_not_numeric", "smooth_quad_c_list",
         "phi_star_list", "l1_weight_string", "rho_string", "rho_bool", "b_strings",
         "A_entry_string", "A_entry_bool", "linear_c_string", "l2ball_radius_string",
-        "box_lo_bool", "name_list", "d_bool"])
+        "box_lo_bool", "name_list", "d_bool", "b_huge_int", "rho_huge_int",
+        "box_hi_huge_int"])
 def test_solve_malformed_problem_exits_1(tmp_path, qp_file, capsys, mutate, message):
     with open(qp_file) as fh:
         doc = json.load(fh)
@@ -274,6 +280,27 @@ def test_verify_coarse_grid_fails_honestly(tight_file, tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
     docs = json.loads(read_bytes(report))
     assert docs[0]["pass"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "p.json", "--inner-tol", "inf"],
+    ["verify", "p.json", "--radius", "inf"],
+    ["verify", "p.json", "--fd-h", "inf"],
+    ["solve", "p.json", "--grad-stop", "inf"],
+    ["solve", "p.json", "--inner-tol0", "nan"],
+    ["solve", "p.json", "--inner-factor", "inf"],
+    ["solve", "p.json", "--lam0", "nan"],
+    ["solve", "p.json", "--lam0", "0.5,inf"],
+    ["bench", "--family", "qp", "--d", "2", "--p", "1", "--rho", "inf"],
+], ids=["inner_tol", "radius", "fd_h", "grad_stop", "inner_tol0", "inner_factor",
+        "lam0_nan", "lam0_inf", "rho"])
+def test_non_finite_float_flag_exits_1(argv, capsys):
+    # the flags are parsed before the problem file is read
+    flag = argv[-2]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: must be a finite number" in err
+    assert "Traceback" not in err
 
 
 def test_verify_unknown_check_exits_1(tight_file, capsys):

@@ -4,21 +4,26 @@ import numpy as np
 import pytest
 
 import almlab as al
-from almlab.inner import _smooth_gradient
+
+
+def _smooth_grad(pb, x, lam):
+    """Gradient of the smooth part, H x + (A'lam + q), as the solver forms it."""
+    plan = pb.subproblem_plan()
+    return plan.H @ x + (pb.A.T @ lam + plan.q)
 
 
 def test_smooth_gradient_examples(qp_scalar):
     # A=[1], b=0, rho=1, lam=2, x=3: A'lam + rho A'(Ax-b) + Qx = 2 + 3 + 3
     pb = qp_scalar(rho=1.0)
-    g = _smooth_gradient(pb, np.array([3.0]), pb.A.T @ np.array([2.0]))
+    g = _smooth_grad(pb, np.array([3.0]), np.array([2.0]))
     assert g[0] == pytest.approx(8.0, abs=1e-12)
     # without a quadratic atom the same point gives 2 + 3 = 5
     f = al.CompositeFunction.single(al.Zero(1))
     pb0 = al.ProblemInstance(f, np.array([[1.0]]), np.zeros(1), 1.0)
-    g0 = _smooth_gradient(pb0, np.array([3.0]), pb0.A.T @ np.array([2.0]))
+    g0 = _smooth_grad(pb0, np.array([3.0]), np.array([2.0]))
     assert g0[0] == pytest.approx(5.0, abs=1e-12)
     # feasible x and lam = 0 give a zero gradient
-    assert _smooth_gradient(pb0, np.zeros(1), pb0.A.T @ np.zeros(1))[0] == 0.0
+    assert _smooth_grad(pb0, np.zeros(1), np.zeros(1))[0] == 0.0
 
 
 def test_smooth_gradient_matches_finite_difference():
@@ -33,7 +38,7 @@ def test_smooth_gradient_matches_finite_difference():
         return val + atom.value(x)
 
     x = rng.standard_normal(pb.d)
-    g = _smooth_gradient(pb, x, pb.A.T @ lam)
+    g = _smooth_grad(pb, x, lam)
     h = 1e-6
     for i in range(pb.d):
         e = np.zeros(pb.d)
@@ -73,8 +78,8 @@ def test_residual_definition_and_tolerance():
     lam = np.full(pb.p, 0.3)
     sol = al.solve_subproblem(pb, lam, 1e-9)
     assert sol.converged and sol.residual <= 1e-9
-    g = _smooth_gradient(pb, sol.x_plus, pb.A.T @ lam)
-    recomputed = pb.f.nonsmooth_part().prox_residual(sol.x_plus, g, sol.step)
+    g = _smooth_grad(pb, sol.x_plus, lam)
+    recomputed = pb.subproblem_plan().nonsmooth.prox_residual(sol.x_plus, g, sol.step)
     assert recomputed == sol.residual
 
 
@@ -227,7 +232,7 @@ def test_plan_gradient_and_increase_match_definitions(name):
     for x in (x1, x2):
         want = pb.A.T @ lam + pb.rho * (pb.A.T @ (pb.A @ x - pb.b)) \
             + _quadratic_gradient(pb.f, x)
-        got = _smooth_gradient(pb, x, pb.A.T @ lam)
+        got = _smooth_grad(pb, x, lam)
         assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
     want = al.aug_lagrangian(pb, x2, lam) - al.aug_lagrangian(pb, x1, lam)
     got = plan.increase(x1, x2, plan.H @ x1, plan.H @ x2, c)
@@ -235,6 +240,23 @@ def test_plan_gradient_and_increase_match_definitions(name):
     sol = al.solve_subproblem(pb, lam, 1e-10)
     assert sol.converged
     assert sol.obj_value == al.aug_lagrangian(pb, sol.x_plus, lam)
+
+
+def test_plan_splits_quadratic_pieces_from_the_prox_atoms():
+    rng = np.random.default_rng(21)
+    M, N = rng.standard_normal((2, 2)), rng.standard_normal((5, 5))
+    Qa, Qs = M @ M.T, N @ N.T / 5
+    quad, l1 = al.Quadratic(Qa, rng.standard_normal(2)), al.L1(3, 0.6)
+    f = al.CompositeFunction([(quad, (0, 2)), (l1, (2, 5))],
+                             smooth_quad=al.SmoothQuadratic(5, Qs, rng.standard_normal(5)))
+    pb = al.ProblemInstance(f, rng.standard_normal((3, 5)), rng.standard_normal(3), 1.7)
+    plan = pb.subproblem_plan()
+    curv = np.linalg.eigvalsh(Qa)[-1] + np.linalg.eigvalsh(Qs)[-1]
+    assert plan.step == 0.99 / (pb.rho * pb.operator_norm_sq() + float(curv))
+    (zero, zrng), (same, srng) = plan.nonsmooth.blocks
+    assert type(zero) is al.Zero and zrng == (0, 2)
+    assert same is l1 and srng == (2, 5)
+    assert plan.nonsmooth.smooth_quad is None
 
 
 def test_plan_arrays_are_read_only():

@@ -43,7 +43,7 @@ def test_brute_min_absolute_value():
 
 
 def test_brute_min_refinement_beats_grid_spacing():
-    # off-grid minimum; three refinement rounds should land much closer than
+    # off-grid minimum; five refinement rounds should land much closer than
     # the coarse spacing of 0.2
     target = 0.123456
     grid = al.GridSpec(np.array([-2.0]), np.array([2.0]), 21)
