@@ -212,6 +212,13 @@ def problem_from_dict(doc) -> ProblemInstance:
     d = doc["d"]
     if not _is_int(d) or d < 1:
         raise ValidationError("d must be a positive integer")
+    # A holds d numbers per row, so once its columns match d, nothing sized
+    # by d can outgrow the file
+    A = _parsed("A", _numbers, doc["A"])
+    if A.ndim != 2:
+        raise ValidationError("A must be an array of equal-length rows")
+    if A.shape[1] != d:
+        raise ValidationError(f"A has {A.shape[1]} columns but d is {d}")
     if not isinstance(doc["atoms"], list):
         raise ValidationError("atoms must be a list of atom records")
     blocks = []
@@ -251,9 +258,6 @@ def problem_from_dict(doc) -> ProblemInstance:
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"smooth_quad: {exc}") from exc
     f = CompositeFunction(blocks, dim=d, smooth_quad=sq)
-    A = _parsed("A", _numbers, doc["A"])
-    if A.ndim != 2:
-        raise ValidationError("A must be an array of equal-length rows")
     if not _is_int(doc["p"]) or doc["p"] != A.shape[0]:
         raise ValidationError(f"p is {doc['p']!r} but A has {A.shape[0]} rows")
     optional = {}

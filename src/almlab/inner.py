@@ -28,6 +28,25 @@ Convergence is declared on the prox-gradient residual at the returned iterate
 (see CompositeFunction.prox_residual); the tolerance is therefore tied to the
 actual step t, which solvers report back in the solution.  obj_value is
 aug_lagrangian at the returned iterate, computed once per solve.
+
+When every prox block is polyhedral (SubproblemPlan.polishable: zero, box,
+nonneg, l1 and linear atoms), FISTA's long tail is cut by a polish step.
+The face of an iterate is which coordinates sit at a bound or at an l1 kink
+(fixed) together with the signs of the other l1 coordinates.  Once one face
+has held for 3 consecutive iterates, and only the first time that face
+holds, the nonsmooth part is smooth on it, and its stationarity system on
+the free coordinates F is linear:
+
+    H_FF delta = -(H x + c + w sign(x) + lin)_F
+
+The candidate is x plus the min-norm solution delta of lstsq, taken from x
+rather than from 0 so that it stays near the feasible iterate.  It is
+returned only if its prox-gradient residual, formed as for an iterate, is
+at most tol and the nonsmooth part is finite there; otherwise FISTA goes on
+unchanged, so a wrong face costs one lstsq and never the result.  H_FF is
+often singular (rho A'A has rank at most p), yet any solution serves: every
+minimizer of L_rho(., lam) has the same A x, so the dual value and gradient
+read from the candidate do not depend on which one lstsq picks.
 """
 
 import math
@@ -45,6 +64,7 @@ __all__ = [
 ]
 
 _DIVERGE_FACTOR = 1e12
+_POLISH_WINDOW = 3  # consecutive iterates on one face before it is polished
 
 
 class DivergenceDetected(RuntimeError):
@@ -71,6 +91,7 @@ class InnerSolution:
     converged: bool
     step: float
     restarts: int
+    polished: bool
 
 
 def solve_subproblem(pb, lam, tol, x0=None, max_iter=100_000) -> InnerSolution:
@@ -107,14 +128,15 @@ def solve_subproblem(pb, lam, tol, x0=None, max_iter=100_000) -> InnerSolution:
     res = math.sqrt(d @ d) / t
     if res <= tol and in_domain:
         return InnerSolution(x, res, 0, aug_lagrangian(pb, x, lam), pb.A @ x - pb.b,
-                             True, t, 0)
+                             True, t, 0, False)
 
     y = x
     g_y = g  # gradient at y is known whenever y coincides with x
     y_is_x = True
     theta = 1.0
     iterations = restarts = 0
-    converged = False
+    converged = polished = False
+    face, stable, tried = None, 0, set()
     for k in range(1, max_iter + 1):
         if not y_is_x:
             g_y = H @ y + c
@@ -149,6 +171,56 @@ def solve_subproblem(pb, lam, tol, x0=None, max_iter=100_000) -> InnerSolution:
         if res <= tol:
             converged = True
             break
+        if not plan.polishable:
+            continue
+        key = _face(plan, x)
+        stable = stable + 1 if key == face else 1
+        face = key
+        if stable == _POLISH_WINDOW and key not in tried:
+            tried.add(key)
+            x_hat = _polish(plan, x, g)
+            if x_hat is None:
+                continue
+            d = x_hat - prox(t, x_hat - t * (H @ x_hat + c))
+            res_hat = math.sqrt(d @ d) / t
+            if res_hat <= tol and math.isfinite(plan.nonsmooth.value(x_hat)):
+                x, res = x_hat, res_hat
+                converged = polished = True
+                break
 
     return InnerSolution(x, res, iterations, aug_lagrangian(pb, x, lam), pb.A @ x - pb.b,
-                         converged, t, restarts)
+                         converged, t, restarts, polished)
+
+
+def _face(plan, x) -> bytes:
+    """The face of a prox output x of a polishable plan: which coordinates
+    sit at a lower or upper bound, and the sign of each l1 coordinate, 0 at
+    its kink."""
+    key = (x <= plan.lo).tobytes() + (x >= plan.hi).tobytes()
+    if plan.l1_weight is not None:
+        key += (np.sign(x) * plan.l1_weight).tobytes()
+    return key
+
+
+def _polish(plan, x, g):
+    """x plus the min-norm solution of the stationarity system on the face
+    of x, given g = H x + c; None when the face has no free coordinate.
+
+    A coordinate is fixed at a bound or at the kink of a positive l1 weight;
+    the others are free, and on them the nonsmooth part is the smooth term
+    w sign(x) + lin, so stationarity reads H_FF delta = -(g + w sign(x) +
+    lin)_F.  H_FF may be singular; lstsq takes the min-norm delta.
+    """
+    fixed = (x <= plan.lo) | (x >= plan.hi)
+    grad = g
+    if plan.l1_weight is not None:
+        fixed |= (x == 0.0) & (plan.l1_weight > 0.0)
+        grad = grad + plan.l1_weight * np.sign(x)
+    if plan.linear is not None:
+        grad = grad + plan.linear
+    free = ~fixed
+    if not free.any():
+        return None
+    x_hat = x.copy()
+    x_hat[free] += np.linalg.lstsq(plan.H[np.ix_(free, free)], -grad[free], rcond=None)[0]
+    return x_hat

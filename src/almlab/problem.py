@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atoms import (
-    L1, CompositeFunction, Linear, Quadratic, ValidationError, Zero, _require_finite, _vector,
+    L1, Box, CompositeFunction, Linear, Quadratic, ValidationError, Zero, _require_finite,
+    _vector,
 )
 
 __all__ = [
@@ -82,9 +83,18 @@ class ProblemInstance:
             _require_finite(witness_x0, "witness_x0")
             if math.isinf(f.value(witness_x0)):
                 raise ValidationError("witness_x0 has infinite objective value")
-            gap = float(np.linalg.norm(A @ witness_x0 - b))
-            if gap > 1e-9 * (1.0 + float(np.linalg.norm(b))):
-                raise ValidationError(f"witness_x0 violates A x = b (residual {gap:g})")
+            with np.errstate(over="ignore", invalid="ignore"):
+                r = A @ witness_x0 - b
+            if not np.all(np.isfinite(r)):
+                raise ValidationError("witness_x0 violates A x = b (residual overflows)")
+            # the norms of huge finite data overflow, so compare them scaled
+            # by the largest entry; below 1 the scale is 1 and changes nothing
+            scale = max(1.0, float(np.max(np.abs(r), initial=0.0)),
+                        float(np.max(np.abs(b), initial=0.0)))
+            gap = float(np.linalg.norm(r / scale))
+            if gap > 1e-9 * (1.0 / scale + float(np.linalg.norm(b / scale))):
+                raise ValidationError(
+                    f"witness_x0 violates A x = b (residual {scale * gap:g})")
             witness_x0.setflags(write=False)
         self.witness_x0 = witness_x0
         if lambda_star is not None:
@@ -143,8 +153,12 @@ class SubproblemPlan:
 
     l1_weight and linear hold the l1 weights and linear coefficients per
     coordinate, 0 off their blocks, and are None where they are 0 everywhere.
-    step is the fixed prox-gradient step 0.99 / L, with L = rho ||A||^2 plus
-    the curvature of the quadratic pieces.  Arrays are read-only.
+    lo and hi hold the box and nonneg bounds per coordinate, -inf and +inf
+    off their blocks.  polishable says that every block of nonsmooth is
+    polyhedral (zero, box, nonneg, l1 or linear), so that it is fixed by
+    lo, hi, l1_weight and linear alone.  step is the fixed prox-gradient
+    step 0.99 / L, with L = rho ||A||^2 plus the curvature of the quadratic
+    pieces.  Arrays are read-only.
     """
 
     H: np.ndarray
@@ -153,6 +167,9 @@ class SubproblemPlan:
     nonsmooth: CompositeFunction
     l1_weight: np.ndarray | None
     linear: np.ndarray | None
+    lo: np.ndarray
+    hi: np.ndarray
+    polishable: bool
 
     @classmethod
     def build(cls, pb):
@@ -161,8 +178,11 @@ class SubproblemPlan:
         q = -rho * (A.T @ b)
         l1_weight = np.zeros(pb.d)
         linear = np.zeros(pb.d)
+        lo = np.full(pb.d, -np.inf)
+        hi = np.full(pb.d, np.inf)
         curv = 0.0
         blocks = []
+        polishable = True
         for atom, (start, stop) in f.blocks:
             if isinstance(atom, Quadratic):
                 H[start:stop, start:stop] += atom.Q
@@ -173,6 +193,11 @@ class SubproblemPlan:
                 l1_weight[start:stop] = atom.weight
             elif isinstance(atom, Linear):
                 linear[start:stop] = atom.c
+            elif isinstance(atom, Box):
+                lo[start:stop] = atom.lo
+                hi[start:stop] = atom.hi
+            elif not isinstance(atom, Zero):
+                polishable = False
             blocks.append((atom, (start, stop)))
         sq = f.smooth_quad
         if sq is not None:
@@ -182,12 +207,13 @@ class SubproblemPlan:
             curv += sq.curvature()
         l1_weight = l1_weight if l1_weight.any() else None
         linear = linear if linear.any() else None
-        for arr in (H, q, l1_weight, linear):
+        for arr in (H, q, l1_weight, linear, lo, hi):
             if arr is not None:
                 arr.setflags(write=False)
         curv = rho * pb.operator_norm_sq() + curv
         step = _STEP_SAFETY / curv if curv > 0.0 else _STEP_SAFETY
-        return cls(H, q, step, CompositeFunction(blocks), l1_weight, linear)
+        return cls(H, q, step, CompositeFunction(blocks), l1_weight, linear, lo, hi,
+                   polishable)
 
     def increase(self, x, x_new, Hx, Hx_new, c) -> float:
         """L_rho(x_new, lam) - L_rho(x, lam) for x, x_new prox outputs of

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +232,26 @@ def test_solve_malformed_problem_exits_1(tmp_path, qp_file, capsys, mutate, mess
     assert f"error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("atom", [None, {"kind": "nonneg", "params": {}}],
+                         ids=["smooth_quad", "nonneg_atom"])
+def test_huge_d_is_rejected_before_anything_of_size_d(qp_file, atom):
+    # a few bytes ask for d = 2e7, and the quadratic term or a nonneg atom
+    # covering it would build length-d vectors; A's 2 columns reject it first
+    with open(qp_file) as fh:
+        doc = json.load(fh)
+    doc.update(d=2 * 10**7, smooth_quad={"c": 0.0})
+    if atom is not None:
+        doc["atoms"] = [dict(atom, range=[0, 2 * 10**7])]
+    tracemalloc.start()
+    try:
+        with pytest.raises(al.ValidationError, match="A has 2 columns but d is 20000000"):
+            al.problem_from_dict(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -267,6 +288,19 @@ def test_verify_reports_byte_identical(tight_file, tmp_path):
 
 def test_verify_identity_checks_pass_on_tight(tight_file):
     rc = main(["verify", tight_file, "--checks", "moreau,conjugate"])
+    assert rc == 0
+
+
+def test_verify_invariance_holds_at_tight_inner_tol(tmp_path, capsys, monkeypatch):
+    # FISTA alone left two minimizers' constraint maps 1.197e-9 apart on this
+    # instance, above the 1e-9 threshold; polished solves agree to rounding
+    monkeypatch.delenv("ALMLAB_SEED", raising=False)
+    path = tmp_path / "nonneg_lp.json"
+    assert main(["bench", "--family", "nonneg_lp", "--d", "20", "--p", "8",
+                 "--seed", "1011", "--out", str(path)]) == 0
+    rc = main(["verify", str(path), "--checks", "invariance", "--inner-tol", "1e-10",
+               "--samples", "2"])
+    assert "invariance: PASS" in capsys.readouterr().out
     assert rc == 0
 
 

@@ -298,12 +298,16 @@ def test_warm_start_outside_box_matches_cold_start():
 def test_restart_fires_on_an_ill_conditioned_quadratic():
     # f = (x1^2 + 0.01 x2^2) / 2 with A = 0: the step is set by x1, so on x2
     # the momentum carries the iterate past 0, after which |x2| and the
-    # objective grow until a restart resets the momentum
-    f = al.CompositeFunction.single(al.Quadratic(np.diag([1.0, 0.01])))
+    # objective grow until a restart resets the momentum.  The quadratic is
+    # a dense term over a ball whose radius never binds, so the prox is the
+    # identity along the path and the non-polyhedral ball keeps polish off
+    sq = al.SmoothQuadratic(2, np.diag([1.0, 0.01]))
+    f = al.CompositeFunction.single(al.L2Ball(10.0, np.zeros(2)), smooth_quad=sq)
     pb = al.ProblemInstance(f, np.zeros((1, 2)), np.zeros(1), 1.0)
     sol = al.solve_subproblem(pb, np.zeros(1), 1e-10, x0=np.array([0.0, 1.0]))
     assert sol.converged
     assert 0 < sol.restarts <= sol.iterations
+    assert not sol.polished
 
 
 @pytest.mark.parametrize("family, d, p", [("nonneg_lp", 20, 8), ("basis_pursuit", 16, 6),
@@ -317,3 +321,126 @@ def test_restarts_are_not_rounding_noise(family, d, p):
     sols = [al.solve_subproblem(pb, rng.uniform(-5, 5, pb.p), 1e-10) for _ in range(5)]
     assert all(s.converged for s in sols)
     assert sum(s.restarts for s in sols) <= 0.1 * sum(s.iterations for s in sols)
+
+
+# ---------------------------------------------------------------------------
+# face-identification polish
+
+
+def _assert_polished(pb, lam, tol=1e-10):
+    sol = al.solve_subproblem(pb, lam, tol)
+    assert sol.polished and sol.converged
+    assert sol.residual <= tol
+    assert math.isfinite(sol.obj_value)
+    assert sol.obj_value == al.aug_lagrangian(pb, sol.x_plus, lam)
+    return sol
+
+
+@pytest.mark.parametrize("family, d, p", [("qp", 24, 10), ("basis_pursuit", 16, 6),
+                                          ("nonneg_lp", 20, 8), ("rank_deficient_box", 20, 8),
+                                          ("tight_bound_family", 1, 1)])
+def test_polish_on_every_family(family, d, p):
+    pb = al.generate(al.BenchmarkSpec(family, d, p, 1.0, 5))
+    assert pb.subproblem_plan().polishable
+    rng = np.random.default_rng(1)
+    # lam < 1 keeps tight_bound_family's minimizer off the cold start x = 0,
+    # which would be returned before any iteration
+    for _ in range(3):
+        _assert_polished(pb, rng.uniform(-5.0, 0.5, pb.p))
+
+
+@pytest.mark.parametrize("name", [n for n in _PLAN_CASES if n != "l2ball"])
+def test_polish_on_every_polyhedral_atom_kind(name):
+    pb = _plan_case(name)
+    assert pb.subproblem_plan().polishable
+    for seed in range(3):
+        _assert_polished(pb, np.random.default_rng(seed).standard_normal(pb.p))
+
+
+def test_l2ball_turns_polish_off():
+    pb = _plan_case("l2ball")
+    assert not pb.subproblem_plan().polishable
+    sol = al.solve_subproblem(pb, np.ones(pb.p), 1e-10)
+    assert sol.converged and not sol.polished
+
+
+def test_plan_records_the_box_bounds():
+    plan = _plan_case("multi_block").subproblem_plan()
+    assert np.array_equal(plan.lo, [-np.inf] * 5 + [-1.0])
+    assert np.array_equal(plan.hi, [np.inf] * 5 + [1.0])
+    for arr in (plan.lo, plan.hi):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def _qp_kkt_minimizer(pb, lam):
+    """Q x + q + A'lam + rho A'(A x - b) = 0, solved directly."""
+    atom = pb.f.blocks[0][0]
+    K = atom.Q + pb.rho * (pb.A.T @ pb.A)
+    return np.linalg.solve(K, -(atom.q + pb.A.T @ lam - pb.rho * (pb.A.T @ pb.b)))
+
+
+def test_polished_qp_matches_the_kkt_minimizer():
+    pb = al.generate(al.BenchmarkSpec("qp", 24, 10, 1.7, 3))
+    lam = np.random.default_rng(2).uniform(-5.0, 5.0, pb.p)
+    x_star = _qp_kkt_minimizer(pb, lam)
+    sol = _assert_polished(pb, lam)
+    assert np.linalg.norm(sol.x_plus - x_star) <= 1e-12 * (1.0 + np.linalg.norm(x_star))
+
+
+def _counting_lstsq(monkeypatch, wrong_first=False):
+    """Count lstsq calls; with wrong_first, the first call returns a zero step."""
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting(M, rhs, rcond=None):
+        calls.append(M.shape[0])
+        if wrong_first and len(calls) == 1:
+            return (np.zeros(M.shape[1]),)
+        return lstsq(M, rhs, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    return calls
+
+
+def test_rejected_face_falls_back_to_fista(monkeypatch):
+    # basis_pursuit settles on faces that are not yet the optimal one: the
+    # first candidates fail the residual test, and FISTA carries on to the
+    # face whose candidate passes
+    calls = _counting_lstsq(monkeypatch)
+    pb = al.generate(al.BenchmarkSpec("basis_pursuit", 16, 6, 1.0, 5))
+    _assert_polished(pb, np.random.default_rng(1).uniform(-5.0, 5.0, pb.p))
+    assert len(calls) >= 2
+
+
+def test_wrong_polish_step_leaves_fista_to_converge(monkeypatch):
+    # the qp subproblem has one face, all coordinates free; a wrong step on
+    # it is rejected and the face is not tried again, so FISTA alone reaches
+    # the tolerance
+    calls = _counting_lstsq(monkeypatch, wrong_first=True)
+    pb = al.generate(al.BenchmarkSpec("qp", 24, 10, 1.7, 3))
+    lam = np.random.default_rng(2).uniform(-5.0, 5.0, pb.p)
+    sol = al.solve_subproblem(pb, lam, 1e-10)
+    assert len(calls) == 1
+    assert sol.converged and not sol.polished
+    assert sol.residual <= 1e-10
+    assert sol.iterations > 3
+    x_star = _qp_kkt_minimizer(pb, lam)
+    assert np.linalg.norm(sol.x_plus - x_star) <= 1e-8 * (1.0 + np.linalg.norm(x_star))
+
+
+def test_polish_candidate_outside_the_box_is_rejected():
+    # the upper bound of x1 sits exactly on the unconstrained minimizer, so
+    # the iterates settle on a face with x1 free and the candidate lands on
+    # the bound or a rounding error beyond it, where its residual still
+    # meets tol; only the domain test keeps it out
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        A, x_star = rng.standard_normal((4, 3)), rng.uniform(0.1, 0.9, 3)
+        hi = np.array([x_star[0], 5.0, 5.0])
+        f = al.CompositeFunction.single(al.Box(np.zeros(3), hi))
+        pb = al.ProblemInstance(f, A, A @ x_star, 1.0)
+        sol = al.solve_subproblem(pb, np.zeros(4), 1e-10)
+        assert sol.converged and sol.residual <= 1e-10
+        assert math.isfinite(sol.obj_value)
+        assert np.all(sol.x_plus >= 0.0) and np.all(sol.x_plus <= hi)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,21 @@ def test_witness_validation():
     pb = al.ProblemInstance(f, A, np.array([2.0]), 1.0,
                             witness_x0=np.array([1.0, 1.0]))
     assert pb.d == 2 and pb.p == 1
+
+
+def test_witness_check_survives_overflowing_norms():
+    # ||b|| overflows to inf; a bound of inf would let any witness pass
+    f = al.CompositeFunction.single(al.Zero(2))
+    b = np.array([1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(al.ValidationError, match="witness_x0 violates"):
+            al.ProblemInstance(f, np.eye(2), b, 1.0, witness_x0=np.zeros(2))
+        with pytest.raises(al.ValidationError, match="residual overflows"):
+            al.ProblemInstance(f, np.array([[1e308, 1e308]]), np.zeros(1), 1.0,
+                               witness_x0=np.array([1e10, 1e10]))
+        pb = al.ProblemInstance(f, np.eye(2), b, 1.0, witness_x0=b)
+    assert np.array_equal(pb.witness_x0, b)
 
 
 def test_lambda_star_length_checked():
