@@ -12,6 +12,11 @@ except the quadratic atom, which solves a ridge system and caches the
 factorization per step size (cache writes are idempotent, so concurrent use
 is benign).
 
+Each function's value has one definition, ``value_batch`` over the rows of
+a matrix; the scalar ``value`` is its one row.  A composite row is ``+inf``
+exactly where some block is ``+inf``, even where another block overflowed
+to ``-inf``.
+
 A :class:`CompositeFunction` is a separable sum of atoms over a partition of
 the coordinates, plus an optional quadratic term that is meant to be handled
 by gradient rather than by prox (see :class:`SmoothQuadratic`).
@@ -85,10 +90,12 @@ class Atom:
         self.dim = int(dim)
 
     def value(self, x) -> float:
-        raise NotImplementedError
+        """f(x): the one row of :meth:`value_batch`, with x checked to have
+        length dim."""
+        return float(self.value_batch(_vector(x, self.dim)[None, :])[0])
 
     def value_batch(self, X) -> np.ndarray:
-        """Values at the rows of X, vectorized."""
+        """Values at the rows of X, in (-inf, +inf]: the one definition of f."""
         raise NotImplementedError
 
     def prox(self, alpha, v) -> np.ndarray:
@@ -111,10 +118,6 @@ class Atom:
 
 class Zero(Atom):
     """f(x) = 0."""
-
-    def value(self, x):
-        _vector(x, self.dim)
-        return 0.0
 
     def value_batch(self, X):
         return np.zeros(X.shape[0])
@@ -141,12 +144,8 @@ class Quadratic(Atom):
         self.q.setflags(write=False)
         self._ridge_cache = {}
 
-    def value(self, x):
-        x = _vector(x, self.dim)
-        return float(0.5 * (x @ self.Q @ x) + self.q @ x + self.c)
-
     def value_batch(self, X):
-        return 0.5 * np.einsum("ni,ij,nj->n", X, self.Q, X) + X @ self.q + self.c
+        return 0.5 * np.vecdot(X @ self.Q, X) + X @ self.q + self.c
 
     def curvature(self):
         """Largest eigenvalue of Q."""
@@ -161,7 +160,7 @@ class Quadratic(Atom):
     def conjugate_batch(self, Y):
         # 0.5 (y - q)' Q^-1 (y - q) - c
         S = Y - self.q
-        return 0.5 * np.einsum("ni,ni->n", S, np.linalg.solve(self.Q, S.T).T) - self.c
+        return 0.5 * np.vecdot(S, np.linalg.solve(self.Q, S.T).T) - self.c
 
     def prox(self, alpha, v):
         v = _vector(v, self.dim, "v")
@@ -182,10 +181,6 @@ class L1(Atom):
         if not (0.0 <= float(weight) < math.inf):
             raise ValidationError("l1 weight must be nonnegative and finite")
         self.weight = float(weight)
-
-    def value(self, x):
-        x = _vector(x, self.dim)
-        return float(self.weight * np.sum(np.abs(x)))
 
     def value_batch(self, X):
         return self.weight * np.sum(np.abs(X), axis=1)
@@ -228,11 +223,6 @@ class Box(Atom):
         self.lo.setflags(write=False)
         self.hi.setflags(write=False)
 
-    def value(self, x):
-        x = _vector(x, self.dim)
-        inside = np.all(x >= self.lo) and np.all(x <= self.hi)
-        return 0.0 if inside else math.inf
-
     def value_batch(self, X):
         inside = np.all((X >= self.lo) & (X <= self.hi), axis=1)
         return np.where(inside, 0.0, np.inf)
@@ -272,11 +262,6 @@ class L2Ball(Atom):
         self.center = center
         self.center.setflags(write=False)
 
-    def value(self, x):
-        x = _vector(x, self.dim)
-        dist = float(np.linalg.norm(x - self.center))
-        return 0.0 if dist <= self.radius * (1.0 + _BALL_SLACK) else math.inf
-
     def value_batch(self, X):
         dist = np.linalg.norm(X - self.center, axis=1)
         return np.where(dist <= self.radius * (1.0 + _BALL_SLACK), 0.0, np.inf)
@@ -305,10 +290,6 @@ class Linear(Atom):
         _require_finite(c, "linear c")
         self.c = c
         self.c.setflags(write=False)
-
-    def value(self, x):
-        x = _vector(x, self.dim)
-        return float(self.c @ x)
 
     def value_batch(self, X):
         return X @ self.c
@@ -344,16 +325,10 @@ class SmoothQuadratic:
         _require_finite(self.q, "quadratic term q")
         _require_finite(self.c, "quadratic term c")
 
-    def value(self, x):
-        out = float(self.q @ x) + self.c
-        if self.Q is not None:
-            out += float(0.5 * (x @ self.Q @ x))
-        return out
-
     def value_batch(self, X):
         out = X @ self.q + self.c
         if self.Q is not None:
-            out = out + 0.5 * np.einsum("ni,ij,nj->n", X, self.Q, X)
+            out = out + 0.5 * np.vecdot(X @ self.Q, X)
         return out
 
     def curvature(self):
@@ -413,24 +388,22 @@ class CompositeFunction:
         return cls([(atom, (0, atom.dim))], smooth_quad=smooth_quad)
 
     def value(self, x) -> float:
-        x = _vector(x, self.dim)
-        total = 0.0
-        for atom, (start, stop) in self.blocks:
-            val = atom.value(x[start:stop])
-            if math.isinf(val):
-                return math.inf
-            total += val
-        if self.smooth_quad is not None:
-            total += self.smooth_quad.value(x)
-        return float(total)
+        """f(x): the one row of :meth:`value_batch`."""
+        return float(self.value_batch(_vector(x, self.dim)[None, :])[0])
 
     def value_batch(self, X) -> np.ndarray:
+        """f at the rows of X: +inf exactly where some block is +inf, even
+        where another block or the quadratic term overflowed to -inf."""
         X = np.asarray(X, dtype=float)
-        total = np.zeros(X.shape[0])
-        for atom, (start, stop) in self.blocks:
-            total = total + atom.value_batch(X[:, start:stop])
-        if self.smooth_quad is not None:
-            total = total + self.smooth_quad.value_batch(X)
+        total, outside = 0.0, False
+        with np.errstate(invalid="ignore"):  # inf + -inf; set to +inf below
+            for atom, (start, stop) in self.blocks:
+                val = atom.value_batch(X[:, start:stop])
+                outside = outside | (val == np.inf)
+                total = total + val
+            if self.smooth_quad is not None:
+                total = total + self.smooth_quad.value_batch(X)
+        total[outside] = np.inf
         return total
 
     def has_conjugate(self) -> bool:

@@ -5,13 +5,13 @@ The subproblem is split as (smooth) + (nonsmooth):
     smooth(x)    = 0.5 x'Hx + c'x + (terms free of x),  c = A'lam + q
     nonsmooth(x) = the remaining atoms of f
 
-where H and q come from the instance's cached SubproblemPlan: H is rho A'A
-plus the quadratic pieces of f, built once per instance, and c is formed
-once per solve.  It is solved by proximal gradient with Nesterov momentum
-(FISTA) and a function-value restart: whenever the accelerated candidate
-increases the objective, the step falls back to the plain proximal-gradient
-point from the previous iterate, which makes the objective sequence
-nonincreasing.
+where H and q come from the instance's cached SubproblemPlan, built once
+per instance: H is rho A'A plus the quadratic pieces of f, q takes their
+linear pieces and the linear atoms, and c is formed once per solve.  It is
+solved by proximal gradient with Nesterov momentum (FISTA) and a
+function-value restart: whenever the accelerated candidate increases the
+objective, the step falls back to the plain proximal-gradient point from
+the previous iterate, which makes the objective sequence nonincreasing.
 
 Each iteration multiplies H by the extrapolated point, for its gradient, and
 by the candidate.  The candidate's product gives both its gradient H x + c,
@@ -30,14 +30,14 @@ actual step t, which solvers report back in the solution.  obj_value is
 aug_lagrangian at the returned iterate, computed once per solve.
 
 When every prox block is polyhedral (SubproblemPlan.polishable: zero, box,
-nonneg, l1 and linear atoms), FISTA's long tail is cut by a polish step.
+nonneg and l1 atoms), FISTA's long tail is cut by a polish step.
 The face of an iterate is which coordinates sit at a bound or at an l1 kink
 (fixed) together with the signs of the other l1 coordinates.  Once one face
 has held for 3 consecutive iterates, and only the first time that face
 holds, the nonsmooth part is smooth on it, and its stationarity system on
 the free coordinates F is linear:
 
-    H_FF delta = -(H x + c + w sign(x) + lin)_F
+    H_FF delta = -(H x + c + w sign(x))_F
 
 The candidate is x plus the min-norm solution delta of lstsq, taken from x
 rather than from 0 so that it stays near the feasible iterate.  It is
@@ -131,16 +131,12 @@ def solve_subproblem(pb, lam, tol, x0=None, max_iter=100_000) -> InnerSolution:
                              True, t, 0, False)
 
     y = x
-    g_y = g  # gradient at y is known whenever y coincides with x
-    y_is_x = True
     theta = 1.0
     iterations = restarts = 0
     converged = polished = False
     face, stable, tried = None, 0, set()
     for k in range(1, max_iter + 1):
-        if not y_is_x:
-            g_y = H @ y + c
-        x_new = prox(t, y - t * g_y)
+        x_new = prox(t, y - t * (H @ y + c))
         Hx_new = H @ x_new
         if in_domain and increase(x, x_new, Hx, Hx_new, c) > 0.0:
             # restart: take the plain prox-gradient point from x instead,
@@ -153,7 +149,6 @@ def solve_subproblem(pb, lam, tol, x0=None, max_iter=100_000) -> InnerSolution:
         theta_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
         beta = (theta - 1.0) / theta_new
         y = x_new + beta * (x_new - x)
-        y_is_x = beta == 0.0
         x, Hx, theta = x_new, Hx_new, theta_new
         norm_x = math.sqrt(x @ x)
         if norm_x > diverge_bound:
@@ -165,8 +160,6 @@ def solve_subproblem(pb, lam, tol, x0=None, max_iter=100_000) -> InnerSolution:
         z = prox(t, x - t * g)
         d = x - z
         res = math.sqrt(d @ d) / t
-        if y_is_x:
-            g_y = g
         iterations = k
         if res <= tol:
             converged = True
@@ -208,16 +201,14 @@ def _polish(plan, x, g):
 
     A coordinate is fixed at a bound or at the kink of a positive l1 weight;
     the others are free, and on them the nonsmooth part is the smooth term
-    w sign(x) + lin, so stationarity reads H_FF delta = -(g + w sign(x) +
-    lin)_F.  H_FF may be singular; lstsq takes the min-norm delta.
+    w sign(x), so stationarity reads H_FF delta = -(g + w sign(x))_F.  H_FF
+    may be singular; lstsq takes the min-norm delta.
     """
     fixed = (x <= plan.lo) | (x >= plan.hi)
     grad = g
     if plan.l1_weight is not None:
         fixed |= (x == 0.0) & (plan.l1_weight > 0.0)
         grad = grad + plan.l1_weight * np.sign(x)
-    if plan.linear is not None:
-        grad = grad + plan.linear
     free = ~fixed
     if not free.any():
         return None

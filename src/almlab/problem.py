@@ -146,19 +146,18 @@ class SubproblemPlan:
         L_rho(x, lam) = 0.5 x'Hx + c'x + nonsmooth(x) + (terms free of x)
 
     where H = rho A'A plus the quadratic atoms' and the quadratic term's Q,
-    q = -rho A'b plus their q, and nonsmooth is f with each quadratic atom
-    replaced by Zero and the quadratic term dropped: build alone decides which
-    pieces of f go by gradient and which by prox.  The gradient of the smooth
-    part is H x + c.
+    q = -rho A'b plus their q and the linear atoms' c, and nonsmooth is f
+    with each quadratic and linear atom replaced by Zero and the quadratic
+    term dropped: build alone decides which pieces of f go by gradient and
+    which by prox.  The gradient of the smooth part is H x + c.
 
-    l1_weight and linear hold the l1 weights and linear coefficients per
-    coordinate, 0 off their blocks, and are None where they are 0 everywhere.
-    lo and hi hold the box and nonneg bounds per coordinate, -inf and +inf
-    off their blocks.  polishable says that every block of nonsmooth is
-    polyhedral (zero, box, nonneg, l1 or linear), so that it is fixed by
-    lo, hi, l1_weight and linear alone.  step is the fixed prox-gradient
-    step 0.99 / L, with L = rho ||A||^2 plus the curvature of the quadratic
-    pieces.  Arrays are read-only.
+    l1_weight holds the l1 weights per coordinate, 0 off their blocks, and
+    is None where it is 0 everywhere.  lo and hi hold the box and nonneg
+    bounds per coordinate, -inf and +inf off their blocks.  polishable says
+    that every block of nonsmooth is polyhedral (zero, box, nonneg or l1),
+    so that it is fixed by lo, hi and l1_weight alone.  step is the fixed
+    prox-gradient step 0.99 / L, with L = rho ||A||^2 plus the curvature of
+    the quadratic pieces.  Arrays are read-only.
     """
 
     H: np.ndarray
@@ -166,7 +165,6 @@ class SubproblemPlan:
     step: float
     nonsmooth: CompositeFunction
     l1_weight: np.ndarray | None
-    linear: np.ndarray | None
     lo: np.ndarray
     hi: np.ndarray
     polishable: bool
@@ -177,7 +175,6 @@ class SubproblemPlan:
         H = rho * (A.T @ A)
         q = -rho * (A.T @ b)
         l1_weight = np.zeros(pb.d)
-        linear = np.zeros(pb.d)
         lo = np.full(pb.d, -np.inf)
         hi = np.full(pb.d, np.inf)
         curv = 0.0
@@ -189,10 +186,11 @@ class SubproblemPlan:
                 q[start:stop] += atom.q
                 curv = max(curv, atom.curvature())
                 atom = Zero(stop - start)
+            elif isinstance(atom, Linear):
+                q[start:stop] += atom.c
+                atom = Zero(stop - start)
             elif isinstance(atom, L1):
                 l1_weight[start:stop] = atom.weight
-            elif isinstance(atom, Linear):
-                linear[start:stop] = atom.c
             elif isinstance(atom, Box):
                 lo[start:stop] = atom.lo
                 hi[start:stop] = atom.hi
@@ -206,31 +204,27 @@ class SubproblemPlan:
             q += sq.q
             curv += sq.curvature()
         l1_weight = l1_weight if l1_weight.any() else None
-        linear = linear if linear.any() else None
-        for arr in (H, q, l1_weight, linear, lo, hi):
+        for arr in (H, q, l1_weight, lo, hi):
             if arr is not None:
                 arr.setflags(write=False)
         curv = rho * pb.operator_norm_sq() + curv
         step = _STEP_SAFETY / curv if curv > 0.0 else _STEP_SAFETY
-        return cls(H, q, step, CompositeFunction(blocks), l1_weight, linear, lo, hi,
-                   polishable)
+        return cls(H, q, step, CompositeFunction(blocks), l1_weight, lo, hi, polishable)
 
     def increase(self, x, x_new, Hx, Hx_new, c) -> float:
         """L_rho(x_new, lam) - L_rho(x, lam) for x, x_new prox outputs of
         nonsmooth, given Hx = H @ x, Hx_new = H @ x_new and c = A'lam + q.
 
         Every indicator atom is exactly 0 at a prox output, so only the l1
-        and linear atoms are valued.  The quadratic term uses the symmetry
-        of H.  Each term is formed from x_new - x or |x_new| - |x|: a
-        difference of the two values of L_rho would lose to rounding every
-        change below about 1e-16 |L_rho|.
+        atoms are valued.  The quadratic term uses the symmetry of H.  Each
+        term is formed from x_new - x or |x_new| - |x|: a difference of the
+        two values of L_rho would lose to rounding every change below about
+        1e-16 |L_rho|.
         """
         dx = x_new - x
         inc = float(dx @ (0.5 * (Hx + Hx_new) + c))
         if self.l1_weight is not None:
             inc += float(self.l1_weight @ (np.abs(x_new) - np.abs(x)))
-        if self.linear is not None:
-            inc += float(self.linear @ dx)
         return inc
 
 

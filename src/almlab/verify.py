@@ -499,13 +499,11 @@ def check_conjugate_identity(pb, x_grid=None, tol_inner=1e-8) -> Certificate:
         )
 
     if atom is not None:
-        P = atom.Q + pb.rho * (pb.A.T @ pb.A)
-        r = atom.q - pb.rho * (pb.A.T @ pb.b)
-        s = atom.c + 0.5 * pb.rho * float(pb.b @ pb.b)
+        f_rho = Quadratic(atom.Q + pb.rho * (pb.A.T @ pb.A), atom.q - pb.rho * (pb.A.T @ pb.b),
+                          atom.c + 0.5 * pb.rho * float(pb.b @ pb.b))
 
         def f_rho_star(y):
-            z = np.linalg.solve(P, y - r)
-            return 0.5 * float((y - r) @ z) - s
+            return float(f_rho.conjugate_batch(y[None, :])[0])
 
         x_points = None
     else:

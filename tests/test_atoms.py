@@ -73,17 +73,45 @@ def test_values_never_negative_infinity():
             assert v > -math.inf
 
 
+def _scalar_value(atom, x):
+    """f(x) by each atom's formula at one point, independent of value_batch."""
+    if isinstance(atom, al.Quadratic):
+        return float(0.5 * (x @ atom.Q @ x) + atom.q @ x + atom.c)
+    if isinstance(atom, al.L1):
+        return float(atom.weight * np.sum(np.abs(x)))
+    if isinstance(atom, al.Box):  # nonneg too
+        inside = np.all(x >= atom.lo) and np.all(x <= atom.hi)
+        return 0.0 if inside else math.inf
+    if isinstance(atom, al.L2Ball):
+        dist = float(np.linalg.norm(x - atom.center))
+        return 0.0 if dist <= atom.radius * (1.0 + 1e-12) else math.inf  # ball slack
+    if isinstance(atom, al.Linear):
+        return float(atom.c @ x)
+    assert isinstance(atom, al.Zero)
+    return 0.0
+
+
 def test_value_batch_matches_value_loop():
     rng = np.random.default_rng(1)
     for name, atom in sample_atoms():
         X = rng.uniform(-4, 4, (40, atom.dim))
         batch = atom.value_batch(X)
         for i in range(40):
-            single = atom.value(X[i])
+            single = _scalar_value(atom, X[i])
             if math.isinf(single):
                 assert math.isinf(batch[i]), name
             else:
                 assert batch[i] == pytest.approx(single, abs=1e-12), name
+
+
+def test_infinite_block_wins_over_an_overflowing_block():
+    # at x the box block is +inf and the linear block overflows to -inf
+    f = al.CompositeFunction([(al.Box(np.zeros(1), np.ones(1)), (0, 1)),
+                              (al.Linear(np.array([-10.0])), (1, 2))])
+    x = np.array([-1.0, 1e308])
+    with np.errstate(over="ignore"):
+        assert f.value_batch(x[None])[0] == math.inf
+        assert f.value(x) == math.inf
 
 
 # ---------------------------------------------------------------------------

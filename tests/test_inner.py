@@ -207,11 +207,14 @@ def _plan_case(name):
 
 
 def _quadratic_gradient(f, x):
-    """Gradient of the quadratic atoms and the quadratic term, block by block."""
+    """Gradient of the quadratic and linear atoms and the quadratic term,
+    block by block."""
     g = np.zeros(f.dim)
     for atom, (start, stop) in f.blocks:
         if isinstance(atom, al.Quadratic):
             g[start:stop] = atom.Q @ x[start:stop] + atom.q
+        elif isinstance(atom, al.Linear):
+            g[start:stop] = atom.c
     if f.smooth_quad is not None:
         g += f.smooth_quad.q
         if f.smooth_quad.Q is not None:
@@ -263,7 +266,7 @@ def test_plan_arrays_are_read_only():
     pb = _plan_case("multi_block")
     plan = pb.subproblem_plan()
     assert pb.subproblem_plan() is plan
-    for arr in (plan.H, plan.q, plan.l1_weight, plan.linear):
+    for arr in (plan.H, plan.q, plan.l1_weight):
         with pytest.raises(ValueError):
             arr[0] = 1.0
 

@@ -154,6 +154,16 @@ def test_witness_validation():
     assert pb.d == 2 and pb.p == 1
 
 
+def test_witness_outside_dom_f_is_rejected_despite_an_overflowing_block():
+    # x0 = -1 is outside the box; the linear block overflows to -inf there
+    f = al.CompositeFunction([(al.Box(np.zeros(1), np.ones(1)), (0, 1)),
+                              (al.Linear(np.array([-10.0])), (1, 2))])
+    with np.errstate(over="ignore"):
+        with pytest.raises(al.ValidationError, match="infinite objective value"):
+            al.ProblemInstance(f, np.array([[1.0, 0.0]]), np.array([-1.0]), 1.0,
+                               witness_x0=np.array([-1.0, 1e308]))
+
+
 def test_witness_check_survives_overflowing_norms():
     # ||b|| overflows to inf; a bound of inf would let any witness pass
     f = al.CompositeFunction.single(al.Zero(2))
