@@ -7,10 +7,8 @@ also evaluate it exactly, with +inf off its domain.
 Atoms are immutable after construction and safe to share across threads.
 Their parameters must be finite; only box bounds may be infinite.
 Extended-real values are represented directly by ``math.inf``; an atom value
-may be ``+inf`` but never ``-inf``.  Proximal steps are exact closed forms,
-except the quadratic atom, which solves a ridge system and caches the
-factorization per step size (cache writes are idempotent, so concurrent use
-is benign).
+may be ``+inf``, and is ``-inf`` only where a huge finite x overflows it.
+Every prox is a closed form but the quadratic atom's, a ridge solve.
 
 Each function's value has one definition, ``value_batch`` over the rows of
 a matrix; the scalar ``value`` is its one row.  A composite row is ``+inf``
@@ -142,7 +140,6 @@ class Quadratic(Atom):
         _require_finite(self.c, "quadratic c")
         self.Q.setflags(write=False)
         self.q.setflags(write=False)
-        self._ridge_cache = {}
 
     def value_batch(self, X):
         return 0.5 * np.vecdot(X @ self.Q, X) + X @ self.q + self.c
@@ -164,13 +161,7 @@ class Quadratic(Atom):
 
     def prox(self, alpha, v):
         v = _vector(v, self.dim, "v")
-        key = float(alpha)
-        inv = self._ridge_cache.get(key)
-        if inv is None:
-            # (I + alpha Q) is SPD for alpha > 0, so the inverse is stable here
-            inv = np.linalg.inv(np.eye(self.dim) + key * self.Q)
-            self._ridge_cache[key] = inv
-        return inv @ (v - key * self.q)
+        return np.linalg.solve(np.eye(self.dim) + alpha * self.Q, v - alpha * self.q)
 
 
 class L1(Atom):
@@ -393,10 +384,11 @@ class CompositeFunction:
 
     def value_batch(self, X) -> np.ndarray:
         """f at the rows of X: +inf exactly where some block is +inf, even
-        where another block or the quadratic term overflowed to -inf."""
+        where another block or the quadratic term overflowed to -inf; an
+        overflow raises no warning, and the Lagrangians reject its -inf."""
         X = np.asarray(X, dtype=float)
         total, outside = 0.0, False
-        with np.errstate(invalid="ignore"):  # inf + -inf; set to +inf below
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: set below
             for atom, (start, stop) in self.blocks:
                 val = atom.value_batch(X[:, start:stop])
                 outside = outside | (val == np.inf)
@@ -441,20 +433,6 @@ class CompositeFunction:
         for atom, (start, stop) in self.blocks:
             out[start:stop] = atom.prox(alpha, v[start:stop])
         return out
-
-    def prox_residual(self, x, grad_smooth, t) -> float:
-        """Prox-gradient residual (1/t) ||x - prox_{t f}(x - t g)||.
-
-        Zero exactly when x minimizes f plus a smooth part whose gradient
-        at x is g.  The value depends on the step t; callers must report
-        the t they used.
-        """
-        if not (float(t) > 0.0):
-            raise ValidationError("residual step t must be positive")
-        x = _vector(x, self.dim)
-        g = _vector(grad_smooth, self.dim, "grad_smooth")
-        step = self.prox(t, x - t * g)
-        return float(np.linalg.norm(x - step) / t)
 
     def __repr__(self):
         parts = ", ".join(f"{atom!r}@[{a},{b})" for atom, (a, b) in self.blocks)

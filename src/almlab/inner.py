@@ -24,10 +24,13 @@ iteration falls below about 1e-16 |L_rho|.  A start outside dom f is worth
 
 The step is fixed at 0.99 / L with L = rho * sigma_max(A)^2 plus the
 curvature of the quadratic pieces; no backtracking, so runs are deterministic.
-Convergence is declared on the prox-gradient residual at the returned iterate
-(see CompositeFunction.prox_residual); the tolerance is therefore tied to the
-actual step t, which solvers report back in the solution.  obj_value is
-aug_lagrangian at the returned iterate, computed once per solve.
+Convergence is declared on the prox-gradient residual
+
+    (1/t) ||x - prox_{t nonsmooth}(x - t (H x + c))|| <= tol
+
+at an iterate x in dom f, the start point being iteration 0; the tolerance
+is tied to the actual step t, which solvers report back in the solution.
+obj_value is aug_lagrangian at the returned iterate, computed once per solve.
 
 When every prox block is polyhedral (SubproblemPlan.polishable: zero, box,
 nonneg and l1 atoms), FISTA's long tail is cut by a polish step.
@@ -114,28 +117,42 @@ def solve_subproblem(pb, lam, tol, x0=None, max_iter=100_000) -> InnerSolution:
     H, t, prox, increase = plan.H, plan.step, plan.nonsmooth.prox, plan.increase
     c = pb.A.T @ lam + plan.q
 
-    if x0 is not None:
-        x = _vector(x0, pb.d, "x0").copy()
-    else:
-        x = np.zeros(pb.d)
+    x = np.zeros(pb.d) if x0 is None else _vector(x0, pb.d, "x0").copy()
     diverge_bound = _DIVERGE_FACTOR * (1.0 + math.sqrt(x @ x))
     in_domain = math.isfinite(plan.nonsmooth.value(x))
 
-    Hx = H @ x
-    g = Hx + c
-    z = prox(t, x - t * g)
-    d = x - z
-    res = math.sqrt(d @ d) / t
-    if res <= tol and in_domain:
-        return InnerSolution(x, res, 0, aug_lagrangian(pb, x, lam), pb.A @ x - pb.b,
-                             True, t, 0, False)
+    def residual(x, Hx):
+        """g = H x + c, z = prox(t, x - t g) and the residual ||x - z|| / t."""
+        g = Hx + c
+        z = prox(t, x - t * g)
+        d = x - z
+        return g, z, math.sqrt(d @ d) / t
 
-    y = x
-    theta = 1.0
-    iterations = restarts = 0
+    Hx, y, theta = H @ x, x, 1.0
+    k = restarts = 0
     converged = polished = False
     face, stable, tried = None, 0, set()
-    for k in range(1, max_iter + 1):
+    while True:
+        g, z, res = residual(x, Hx)
+        if res <= tol and in_domain:
+            converged = True
+            break
+        if k >= 1 and plan.polishable:
+            key = _face(plan, x)
+            stable = stable + 1 if key == face else 1
+            face = key
+            if stable == _POLISH_WINDOW and key not in tried:
+                tried.add(key)
+                x_hat = _polish(plan, x, g)
+                if x_hat is not None:
+                    res_hat = residual(x_hat, H @ x_hat)[2]
+                    if res_hat <= tol and math.isfinite(plan.nonsmooth.value(x_hat)):
+                        x, res = x_hat, res_hat
+                        converged = polished = True
+                        break
+        if k == max_iter:
+            break
+        k += 1
         x_new = prox(t, y - t * (H @ y + c))
         Hx_new = H @ x_new
         if in_domain and increase(x, x_new, Hx, Hx_new, c) > 0.0:
@@ -156,32 +173,8 @@ def solve_subproblem(pb, lam, tol, x0=None, max_iter=100_000) -> InnerSolution:
                 f"iterate norm {norm_x:.3e} exceeded "
                 f"{diverge_bound:.3e} after {k} iterations"
             )
-        g = Hx + c
-        z = prox(t, x - t * g)
-        d = x - z
-        res = math.sqrt(d @ d) / t
-        iterations = k
-        if res <= tol:
-            converged = True
-            break
-        if not plan.polishable:
-            continue
-        key = _face(plan, x)
-        stable = stable + 1 if key == face else 1
-        face = key
-        if stable == _POLISH_WINDOW and key not in tried:
-            tried.add(key)
-            x_hat = _polish(plan, x, g)
-            if x_hat is None:
-                continue
-            d = x_hat - prox(t, x_hat - t * (H @ x_hat + c))
-            res_hat = math.sqrt(d @ d) / t
-            if res_hat <= tol and math.isfinite(plan.nonsmooth.value(x_hat)):
-                x, res = x_hat, res_hat
-                converged = polished = True
-                break
 
-    return InnerSolution(x, res, iterations, aug_lagrangian(pb, x, lam), pb.A @ x - pb.b,
+    return InnerSolution(x, res, k, aug_lagrangian(pb, x, lam), pb.A @ x - pb.b,
                          converged, t, restarts, polished)
 
 

@@ -106,7 +106,6 @@ class ProblemInstance:
             phi_star = float(phi_star)
             _require_finite(phi_star, "phi_star")
         self.phi_star = phi_star
-        self._op_norm_sq = None
         self._plan = None
 
     @property
@@ -118,10 +117,8 @@ class ProblemInstance:
         return self.A.shape[0]
 
     def operator_norm_sq(self) -> float:
-        """Cached largest squared singular value of A."""
-        if self._op_norm_sq is None:
-            self._op_norm_sq = operator_norm_sq(self.A)
-        return self._op_norm_sq
+        """Largest squared singular value of A; the cached plan reads it once, for its step."""
+        return operator_norm_sq(self.A)
 
     def subproblem_plan(self) -> "SubproblemPlan":
         """Cached :class:`SubproblemPlan`; the instance is immutable, so it
@@ -229,12 +226,15 @@ class SubproblemPlan:
 
 
 def _lagrangian_and_residual(pb, x, lam):
-    """(lagrangian(pb, x, lam), Ax - b); the residual is None when f(x) is +inf."""
+    """(lagrangian(pb, x, lam), Ax - b); the residual is None when f(x) is +inf.
+    A proper f is never -inf, so a -inf or NaN f(x) is an overflow and raises."""
     x = _vector(x, pb.d)
     lam = _vector(lam, pb.p, "lam")
     val = pb.f.value(x)
-    if math.isinf(val):
+    if val == math.inf:
         return math.inf, None
+    if not math.isfinite(val):
+        raise ValidationError(f"f(x) overflows to {val} at this x")
     r = pb.A @ x - pb.b
     return float(val + lam @ r), r
 

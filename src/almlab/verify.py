@@ -388,7 +388,8 @@ class _StandardDualOracle:
     Exact, with true -inf, when f has a closed-form conjugate
     (``f.has_conjugate()``).  Otherwise phi is the minimum over an x grid
     (d <= 3), which truncates unbounded directions at the box edge, so a w
-    with phi(w) = -inf comes back merely very negative.
+    with phi(w) = -inf comes back merely very negative.  A curved f at
+    d >= 2 needs an x_grid passed in: the default one is too coarse for it.
     """
 
     def __init__(self, pb, x_grid=None):
@@ -399,6 +400,13 @@ class _StandardDualOracle:
         if pb.d > 3:
             raise ValidationError(
                 "grid dual oracle needs d <= 3 unless f has a closed-form conjugate"
+            )
+        quads = [atom for atom, _ in pb.f.blocks if isinstance(atom, Quadratic)]
+        quads += [] if pb.f.smooth_quad is None else [pb.f.smooth_quad]
+        if x_grid is None and pb.d >= 2 and any(qd.curvature() > 0.0 for qd in quads):
+            raise ValidationError(
+                "the default x grid is too coarse for a curved f at d >= 2; "
+                "pass a finer x_grid (--grid-points)"
             )
         _, X, self.fX = _f_on_grid(pb, x_grid)
         self.R = X @ pb.A.T - pb.b
@@ -446,11 +454,12 @@ def check_moreau_identity(pb, w_grid=None, x_grid=None, tol_inner=1e-8) -> Certi
 
     The threshold is 1e-3 + 3 * tol_inner; 1e-3 is the resolution budget the
     default grids meet on boxes of half-width 10, not a per-instance error
-    bound, so a coarser w_grid or x_grid may fail honestly.  On the exact
-    route the budget holds; on the x-grid fallback only for polyhedral f or
-    d = 1, since the x spacing leaves an O(h^2 ||Q||) error in a curved phi
-    (a curved f at d = 2 measured 2.85e-3 and 4.4e-3).  A dual domain
-    thin against the w-grid spacing can fail on resolution alone.
+    bound, so a coarser w_grid or x_grid may fail honestly.  The default x
+    grid meets it only for polyhedral f or d = 1, since its spacing leaves
+    an O(h^2 ||Q||) error in a curved phi (2.85e-3 on a curved f at d = 2),
+    so a curved f at d >= 2 raises ValidationError unless x_grid is passed.
+    A dual domain thin against the w-grid spacing can fail on resolution
+    alone.
     """
     if pb.p > 3:
         raise ValidationError("moreau check needs p <= 3")

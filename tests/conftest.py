@@ -5,6 +5,17 @@ import almlab as al
 
 
 @pytest.fixture
+def prox_residual():
+    """The inner solver's convergence test as an oracle: the prox-gradient
+    residual (1/t) ||x - prox_{t f}(x - t g)|| of a composite f at x, with g
+    the gradient of the smooth part.  Zero exactly when x minimizes f plus
+    that smooth part; the value depends on the step t."""
+    def residual(f, x, g, t):
+        return float(np.linalg.norm(x - f.prox(t, x - t * g)) / t)
+    return residual
+
+
+@pytest.fixture
 def qp_scalar():
     """f = x^2/2, A = [1], b = 0.
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,18 +161,37 @@ def test_scalar_prox_against_grid_oracle():
 
 
 def test_quadratic_prox_matches_fresh_solve():
-    # the cached-inverse route must agree with an uncached linear solve
+    # the prox is the ridge system (I + alpha Q) y = v - alpha q
     rng = np.random.default_rng(11)
     B = rng.standard_normal((6, 6))
     Q = B @ B.T / 6.0
     Q = 0.5 * (Q + Q.T)
     q = rng.standard_normal(6)
     atom = al.Quadratic(Q, q)
-    for alpha in (0.5, 0.5, 2.0):  # repeat exercises the cache
+    for alpha in (0.5, 0.5, 2.0):  # a repeated step must agree too
         v = rng.standard_normal(6)
         got = atom.prox(alpha, v)
         want = np.linalg.solve(np.eye(6) + alpha * Q, v - alpha * q)
         assert np.linalg.norm(got - want) <= 1e-10
+
+
+def test_quadratic_prox_retains_no_memory_per_step():
+    # one retained d x d matrix per distinct step would hold 4 MB here
+    rng = np.random.default_rng(12)
+    B = rng.standard_normal((50, 50))
+    Q = B @ B.T / 50.0
+    atom = al.Quadratic(0.5 * (Q + Q.T))
+    v = rng.standard_normal(50)
+    atom.prox(1.0, v)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for alpha in rng.uniform(0.1, 10.0, 200):
+            atom.prox(float(alpha), v)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 100_000
 
 
 def test_l2ball_prox_is_projection():
@@ -194,14 +214,14 @@ def test_prox_output_stays_in_domain():
             assert math.isfinite(atom.value(p)), name
 
 
-def test_prox_residual_examples():
+def test_prox_residual_examples(prox_residual):
     z = al.CompositeFunction.single(al.Zero(2))
-    assert z.prox_residual(np.array([1.0, -2.0]), np.zeros(2), 1.0) == 0.0
+    assert prox_residual(z, np.array([1.0, -2.0]), np.zeros(2), 1.0) == 0.0
     nn = al.CompositeFunction.single(al.Nonneg(1))
-    assert nn.prox_residual(np.zeros(1), np.array([5.0]), 1.0) == 0.0
+    assert prox_residual(nn, np.zeros(1), np.array([5.0]), 1.0) == 0.0
     l1 = al.CompositeFunction.single(al.L1(1))
     # soft-threshold of 0.5 by t*weight = 1 is 0, so the defect is 0.5
-    r = l1.prox_residual(np.array([0.5]), np.zeros(1), 1.0)
+    r = prox_residual(l1, np.array([0.5]), np.zeros(1), 1.0)
     assert r == pytest.approx(0.5, abs=1e-12)
 
 

@@ -316,6 +316,29 @@ def test_verify_coarse_grid_fails_honestly(tight_file, tmp_path, capsys):
     assert docs[0]["pass"] is False
 
 
+def _curved_d2_file(tmp_path):
+    # nonneg plus a dense quadratic term: moreau falls back to the x grid
+    Q = np.array([[1.0, 0.5], [0.5, 1.0]])
+    f = al.CompositeFunction.single(al.Nonneg(2), smooth_quad=al.SmoothQuadratic(2, Q=Q))
+    pb = al.ProblemInstance(f, np.ones((1, 2)), np.ones(1), 1.0, name="curved_d2")
+    path = tmp_path / "curved.json"
+    al.write_problem(pb, str(path))
+    return str(path)
+
+
+def test_verify_moreau_refuses_the_default_x_grid_on_a_curved_f(tmp_path, capsys):
+    rc = main(["verify", _curved_d2_file(tmp_path), "--checks", "moreau"])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_verify_moreau_passes_a_curved_f_on_a_finer_grid(tmp_path, capsys):
+    rc = main(["verify", _curved_d2_file(tmp_path), "--checks", "moreau",
+               "--grid-points", "301"])
+    assert "moreau: PASS" in capsys.readouterr().out
+    assert rc == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "p.json", "--inner-tol", "inf"],
     ["verify", "p.json", "--radius", "inf"],

@@ -73,13 +73,13 @@ def test_obj_value_is_exact_aug_lagrangian():
         assert np.array_equal(sol.constraint_map, pb.A @ sol.x_plus - pb.b)
 
 
-def test_residual_definition_and_tolerance():
+def test_residual_definition_and_tolerance(prox_residual):
     pb = al.generate(al.BenchmarkSpec("basis_pursuit", 8, 4, 2.0, 1))
     lam = np.full(pb.p, 0.3)
     sol = al.solve_subproblem(pb, lam, 1e-9)
     assert sol.converged and sol.residual <= 1e-9
     g = _smooth_grad(pb, sol.x_plus, lam)
-    recomputed = pb.subproblem_plan().nonsmooth.prox_residual(sol.x_plus, g, sol.step)
+    recomputed = prox_residual(pb.subproblem_plan().nonsmooth, sol.x_plus, g, sol.step)
     assert recomputed == sol.residual
 
 
@@ -119,6 +119,20 @@ def test_warm_start_at_solution_returns_immediately(qp_scalar):
     sol = al.solve_subproblem(pb, np.array([2.0]), 1e-8, x0=np.array([-1.0]))
     assert sol.iterations == 0
     assert sol.x_plus[0] == -1.0
+
+
+def test_polish_runs_on_the_last_permitted_iteration():
+    # this solve converges by a polish at iteration 348: a budget of 348
+    # must still polish there, and one of 347 must stop short of it
+    pb = al.generate(al.BenchmarkSpec("basis_pursuit", 16, 6, 1.0, 5))
+    lam = np.random.default_rng(1).uniform(-5, 5, pb.p)
+    full = al.solve_subproblem(pb, lam, 1e-10)
+    assert full.iterations == 348 and full.polished
+    last = al.solve_subproblem(pb, lam, 1e-10, max_iter=348)
+    assert last.polished and last.converged
+    assert np.array_equal(last.x_plus, full.x_plus)
+    short = al.solve_subproblem(pb, lam, 1e-10, max_iter=347)
+    assert not short.polished and not short.converged
 
 
 def test_infeasible_start_never_returns_infinite_objective():

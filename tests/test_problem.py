@@ -56,6 +56,18 @@ def test_aug_lagrangian_infinite_iff_f_infinite():
     assert math.isfinite(al.aug_lagrangian(pb, np.array([1.0, 3.0]), np.ones(1)))
 
 
+@pytest.mark.parametrize("value", [al.lagrangian, al.aug_lagrangian],
+                         ids=["lagrangian", "aug_lagrangian"])
+def test_overflowing_f_raises_and_is_not_reported_outside_dom_f(value):
+    # x is inside the box, and the linear block overflows f(x) to -inf
+    f = al.CompositeFunction([(al.Box(np.zeros(1), np.ones(1)), (0, 1)),
+                              (al.Linear(np.array([-10.0])), (1, 2))])
+    pb = al.ProblemInstance(f, np.array([[1.0, 0.0]]), np.array([0.5]), 1.0)
+    with pytest.raises(al.ValidationError, match="overflows"):
+        value(pb, np.array([0.5, 1e308]), np.zeros(1))
+    assert value(pb, np.array([-1.0, 1e308]), np.zeros(1)) == math.inf
+
+
 def test_aug_lagrangian_midpoint_convexity_in_x():
     pb = random_instance(4)
     rng = np.random.default_rng(5)
@@ -102,7 +114,7 @@ def test_operator_norm_deterministic():
     assert al.operator_norm_sq(A) == al.operator_norm_sq(A.copy())
 
 
-def test_problem_caches_operator_norm():
+def test_problem_operator_norm_matches_svd():
     pb = random_instance(8)
     assert pb.operator_norm_sq() == pb.operator_norm_sq()
     want = float(np.linalg.svd(pb.A, compute_uv=False)[0] ** 2)
