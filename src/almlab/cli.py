@@ -10,9 +10,13 @@ Exit codes are part of the contract:
 
 The environment variable ALMLAB_SEED, when set, overrides --seed for the
 verify and bench subcommands.
+
+The argparse tree is built once per process, on the first call of main, and
+reused by every later call.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -63,7 +67,10 @@ def _finite_list(text):
     return np.array([_finite(t) for t in text.split(",")])
 
 
+@functools.cache
 def _build_parser():
+    # shared by every call of main: parse_args keeps no state in the parser
+    # and returns a fresh namespace each time
     parser = _Parser(prog="almlab",
                      description="Augmented Lagrangian solver and dual-smoothness "
                                  "certificate toolkit.")

@@ -42,14 +42,21 @@ the free coordinates F is linear:
 
     H_FF delta = -(H x + c + w sign(x))_F
 
-The candidate is x plus the min-norm solution delta of lstsq, taken from x
-rather than from 0 so that it stays near the feasible iterate.  It is
-returned only if its prox-gradient residual, formed as for an iterate, is
-at most tol and the nonsmooth part is finite there; otherwise FISTA goes on
-unchanged, so a wrong face costs one lstsq and never the result.  H_FF is
-often singular (rho A'A has rank at most p), yet any solution serves: every
+The candidate is x plus a solution delta, taken from x rather than from 0
+so that it stays near the feasible iterate.  It is returned only if its
+prox-gradient residual, formed as for an iterate, is at most tol and the
+nonsmooth part is finite there; otherwise FISTA goes on unchanged, so a
+wrong face costs one face solve and never the result.  H_FF is often
+singular (rho A'A has rank at most p), yet any solution serves: every
 minimizer of L_rho(., lam) has the same A x, so the dual value and gradient
-read from the candidate do not depend on which one lstsq picks.
+read from the candidate do not depend on which one is picked.  The face
+solve is gated by a Cholesky factor L of H_FF: when it exists and its
+smallest pivot is not negligible, min(diag L)^2 > 1e-12 max(diag L)^2, H_FF
+is positive definite and a plain solve gives the unique delta; otherwise
+lstsq, an SVD, takes the min-norm one.  Without the pivot test Cholesky
+also accepts numerically singular faces, whose solve returns a useless step
+and loses the polish.  The gate decides only the cost, never which point
+the acceptance test lets through.
 """
 
 import math
@@ -68,6 +75,7 @@ __all__ = [
 
 _DIVERGE_FACTOR = 1e12
 _POLISH_WINDOW = 3  # consecutive iterates on one face before it is polished
+_PIVOT_RATIO = 1e-12  # squared Cholesky pivots below this share of the largest: singular
 
 
 class DivergenceDetected(RuntimeError):
@@ -189,22 +197,37 @@ def _face(plan, x) -> bytes:
 
 
 def _polish(plan, x, g):
-    """x plus the min-norm solution of the stationarity system on the face
-    of x, given g = H x + c; None when the face has no free coordinate.
+    """x plus a solution of the stationarity system on the face of x, given
+    g = H x + c; None when the face has no free coordinate.
 
     A coordinate is fixed at a bound or at the kink of a positive l1 weight;
     the others are free, and on them the nonsmooth part is the smooth term
-    w sign(x), so stationarity reads H_FF delta = -(g + w sign(x))_F.  H_FF
-    may be singular; lstsq takes the min-norm delta.
+    w sign(x), so stationarity reads H_FF delta = -(g + w sign(x))_F, solved
+    by _face_step: the unique delta when H_FF passes the Cholesky gate, the
+    min-norm one from lstsq on a singular face.
     """
     fixed = (x <= plan.lo) | (x >= plan.hi)
     grad = g
     if plan.l1_weight is not None:
         fixed |= (x == 0.0) & (plan.l1_weight > 0.0)
         grad = grad + plan.l1_weight * np.sign(x)
-    free = ~fixed
-    if not free.any():
+    free = np.flatnonzero(~fixed)
+    if free.size == 0:
         return None
     x_hat = x.copy()
-    x_hat[free] += np.linalg.lstsq(plan.H[np.ix_(free, free)], -grad[free], rcond=None)[0]
+    x_hat[free] += _face_step(plan.H[free[:, None], free], -grad[free])
     return x_hat
+
+
+def _face_step(H_FF, rhs):
+    """A solution of H_FF delta = rhs for a symmetric positive semidefinite
+    H_FF: the unique one by an LU solve when a Cholesky factor L exists and
+    min(diag L)^2 > 1e-12 max(diag L)^2, else lstsq's min-norm one."""
+    try:
+        pivots = np.diag(np.linalg.cholesky(H_FF)) ** 2
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        if pivots.min() > _PIVOT_RATIO * pivots.max():
+            return np.linalg.solve(H_FF, rhs)
+    return np.linalg.lstsq(H_FF, rhs, rcond=None)[0]

@@ -34,7 +34,6 @@ from .inner import solve_subproblem
 __all__ = [
     "Certificate",
     "GridSpec",
-    "brute_min",
     "default_lambda_grid",
     "check_smoothness",
     "check_gradient_fd",
@@ -46,7 +45,6 @@ __all__ = [
 ]
 
 _MAX_GRID_TOTAL = 10_000_000
-_MAX_BRUTE_DIM = 4
 _REFINE_ROUNDS = 5
 _INNER_MAX_ITER = 200_000
 _MIN_DIST_FRAC = 1e-3
@@ -132,34 +130,6 @@ def _grid_points(grid):
     return _grid_chunk(grid.axes(), 0, grid.total)
 
 
-def brute_min(objective, grid):
-    """Exhaustive grid minimization with local refinement.
-
-    objective must accept an (N, n) batch of points and return N values
-    (+inf allowed).  The full scan is followed by :func:`_refine`.
-    Supports n <= 4.
-
-    Returns (argmin, min value).
-    """
-    n = grid.ndim
-    if n > _MAX_BRUTE_DIM:
-        raise ValidationError("brute_min supports at most 4 dimensions")
-    axes = grid.axes()
-    best_val = math.inf
-    best_x = None
-    chunk = 200_000
-    for start in range(0, grid.total, chunk):
-        pts = _grid_chunk(axes, start, min(start + chunk, grid.total))
-        vals = np.asarray(objective(pts), dtype=float)
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val = float(vals[i])
-            best_x = pts[i].copy()
-    if best_x is None or not math.isfinite(best_val):
-        raise ValidationError("objective is +inf on the entire grid")
-    return _refine(objective, grid, best_x, best_val)
-
-
 def _refine(objective, grid, best_x, best_val):
     """Local refinement of a grid incumbent (best_x, best_val = objective there).
 
@@ -193,6 +163,10 @@ def default_lambda_grid(p, lo=-3, hi=3) -> np.ndarray:
 
 
 def _ball_point(rng, p, radius):
+    """A point drawn uniformly from the ball of the given radius about 0 in
+    R^p; the shared radius check of the sampled certificates."""
+    if not (0.0 < radius < math.inf):
+        raise ValidationError("radius must be positive and finite")
     g = rng.standard_normal(p)
     n = float(np.linalg.norm(g))
     if n == 0.0:

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import almlab as al
+from almlab.verify import _grid_chunk, _refine
 
 
 @pytest.fixture
@@ -13,6 +16,33 @@ def prox_residual():
     def residual(f, x, g, t):
         return float(np.linalg.norm(x - f.prox(t, x - t * g)) / t)
     return residual
+
+
+@pytest.fixture
+def brute_min():
+    """Exhaustive grid minimization with local refinement, as an oracle that
+    shares no code with the inner solver.
+
+    objective must accept an (N, n) batch of points and return N values
+    (+inf allowed).  The full scan of the grid is followed by the
+    identity checks' refinement (verify._refine).  Returns (argmin, min
+    value); raises ValidationError when the objective is +inf on the whole
+    grid.
+    """
+    def minimize(objective, grid):
+        axes = grid.axes()
+        best_val, best_x = math.inf, None
+        chunk = 200_000
+        for start in range(0, grid.total, chunk):
+            pts = _grid_chunk(axes, start, min(start + chunk, grid.total))
+            vals = np.asarray(objective(pts), dtype=float)
+            i = int(np.argmin(vals))
+            if vals[i] < best_val:
+                best_val, best_x = float(vals[i]), pts[i].copy()
+        if best_x is None or not math.isfinite(best_val):
+            raise al.ValidationError("objective is +inf on the entire grid")
+        return _refine(objective, grid, best_x, best_val)
+    return minimize
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import almlab as al
-from almlab.cli import main
+from almlab.cli import _build_parser, main
 
 
 def read_bytes(path):
@@ -378,6 +378,15 @@ def test_verify_samples_below_one_exits_1(tight_file, capsys, args):
     assert "error: --samples must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("radius", ["0", "-1"])
+@pytest.mark.parametrize("check", ["smoothness", "gradient_fd", "concavity"])
+def test_verify_radius_must_be_positive(tight_file, capsys, check, radius):
+    assert main(["verify", tight_file, "--checks", check, "--radius", radius]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: radius must be positive and finite\n"
+    assert "PASS" not in captured.out
+
+
 def test_verify_moreau_rejects_wide_multiplier(tmp_path):
     path = tmp_path / "wide.json"
     assert main(["bench", "--family", "qp", "--d", "6", "--p", "5",
@@ -394,6 +403,18 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
     assert main([]) == 1
     assert main(["solve"]) == 1
+
+
+def test_parser_is_built_once_and_keeps_no_state(qp_file, tmp_path, capsys):
+    first, last = tmp_path / "first.csv", tmp_path / "last.csv"
+    _build_parser.cache_clear()
+    assert main(["solve", qp_file, "--trace-out", str(first)]) == 0
+    assert _build_parser() is _build_parser()
+    assert main(["solve"]) == 1
+    assert main(["solve", qp_file, "--method", "accelerated", "--lam0", "0.5",
+                 "--inner-tol0", "1e-6", "--max-outer", "3"]) in (0, 2)
+    assert main(["solve", qp_file, "--trace-out", str(last)]) == 0
+    assert read_bytes(last) == read_bytes(first)
 
 
 def test_help_exits_0(capsys):

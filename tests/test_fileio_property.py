@@ -1,12 +1,17 @@
-"""Property test for the problem parser: a mutated valid document either
-parses or raises ValidationError, never another exception."""
+"""Property tests for the problem parser: a mutated valid document either
+parses or raises ValidationError, never another exception, and the CLI
+turns every rejection into exit 1 with one error line."""
 
+import contextlib
 import copy
+import io
+import json
 
 import numpy as np
 import pytest
 
 import almlab as al
+from almlab.cli import main
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -72,13 +77,38 @@ def _mutate(doc, data):
         parent[key] = data.draw(_JUNK)
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(st.data())
-def test_mutated_documents_parse_or_raise_validation_error(data):
+def _mutated_doc(data):
     doc = copy.deepcopy(_BASES[data.draw(st.integers(0, len(_BASES) - 1))])
     for _ in range(data.draw(st.integers(1, 3))):
         _mutate(doc, data)
+    return doc
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_documents_parse_or_raise_validation_error(data):
+    try:
+        al.problem_from_dict(_mutated_doc(data))
+    except al.ValidationError:
+        pass
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_cli_rejects_mutated_documents_with_one_error_line(tmp_path_factory, data):
+    doc = _mutated_doc(data)
     try:
         al.problem_from_dict(doc)
     except al.ValidationError:
         pass
+    else:
+        return  # parses: no solve runs here
+    path = tmp_path_factory.getbasetemp() / "mutated_problem.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["solve", str(path)])
+    lines = err.getvalue().splitlines()
+    assert rc == 1
+    assert len(lines) == 1 and lines[0].startswith("error: ")

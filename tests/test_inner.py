@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import almlab as al
+from almlab import inner
 
 
 def _smooth_grad(pb, x, lam):
@@ -161,7 +162,7 @@ def test_inner_settings_validation(qp_scalar):
         al.solve_subproblem(pb, np.zeros(1), 1e-8, max_iter=0)
 
 
-def test_brute_min_cross_checks_inner_solver(p_box):
+def test_brute_min_cross_checks_inner_solver(p_box, brute_min):
     # the grid oracle and the solver agree on the P_box subproblem at lam=3
     pb = p_box(rho=1.0)
     lam = np.array([3.0])
@@ -172,7 +173,7 @@ def test_brute_min_cross_checks_inner_solver(p_box):
         return vals + (r @ lam) + 0.5 * pb.rho * np.sum(r * r, axis=1)
 
     grid = al.GridSpec(np.array([-10.0]), np.array([10.0]), 2001)
-    x_star, val = al.brute_min(objective, grid)
+    x_star, val = brute_min(objective, grid)
     sol = al.solve_subproblem(pb, lam, 1e-10)
     assert abs(val - sol.obj_value) <= 1e-3
     assert abs(x_star[0] - sol.x_plus[0]) <= 1e-2
@@ -405,18 +406,19 @@ def test_polished_qp_matches_the_kkt_minimizer():
     assert np.linalg.norm(sol.x_plus - x_star) <= 1e-12 * (1.0 + np.linalg.norm(x_star))
 
 
-def _counting_lstsq(monkeypatch, wrong_first=False):
-    """Count lstsq calls; with wrong_first, the first call returns a zero step."""
+def _counting_face_steps(monkeypatch, wrong_first=False):
+    """Count the polish's face solves; with wrong_first, the first returns a
+    zero step."""
     calls = []
-    lstsq = np.linalg.lstsq
+    face_step = inner._face_step
 
-    def counting(M, rhs, rcond=None):
-        calls.append(M.shape[0])
+    def counting(H_FF, rhs):
+        calls.append(H_FF.shape[0])
         if wrong_first and len(calls) == 1:
-            return (np.zeros(M.shape[1]),)
-        return lstsq(M, rhs, rcond=rcond)
+            return np.zeros(H_FF.shape[1])
+        return face_step(H_FF, rhs)
 
-    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    monkeypatch.setattr(inner, "_face_step", counting)
     return calls
 
 
@@ -424,7 +426,7 @@ def test_rejected_face_falls_back_to_fista(monkeypatch):
     # basis_pursuit settles on faces that are not yet the optimal one: the
     # first candidates fail the residual test, and FISTA carries on to the
     # face whose candidate passes
-    calls = _counting_lstsq(monkeypatch)
+    calls = _counting_face_steps(monkeypatch)
     pb = al.generate(al.BenchmarkSpec("basis_pursuit", 16, 6, 1.0, 5))
     _assert_polished(pb, np.random.default_rng(1).uniform(-5.0, 5.0, pb.p))
     assert len(calls) >= 2
@@ -434,7 +436,7 @@ def test_wrong_polish_step_leaves_fista_to_converge(monkeypatch):
     # the qp subproblem has one face, all coordinates free; a wrong step on
     # it is rejected and the face is not tried again, so FISTA alone reaches
     # the tolerance
-    calls = _counting_lstsq(monkeypatch, wrong_first=True)
+    calls = _counting_face_steps(monkeypatch, wrong_first=True)
     pb = al.generate(al.BenchmarkSpec("qp", 24, 10, 1.7, 3))
     lam = np.random.default_rng(2).uniform(-5.0, 5.0, pb.p)
     sol = al.solve_subproblem(pb, lam, 1e-10)
@@ -444,6 +446,36 @@ def test_wrong_polish_step_leaves_fista_to_converge(monkeypatch):
     assert sol.iterations > 3
     x_star = _qp_kkt_minimizer(pb, lam)
     assert np.linalg.norm(sol.x_plus - x_star) <= 1e-8 * (1.0 + np.linalg.norm(x_star))
+
+
+def test_positive_definite_face_is_solved_without_lstsq(monkeypatch):
+    # every coordinate of the qp face is free and H is positive definite, so
+    # the Cholesky gate passes and the SVD never runs
+    lstsq_calls = []
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: lstsq_calls.append(a))
+    calls = _counting_face_steps(monkeypatch)
+    pb = al.generate(al.BenchmarkSpec("qp", 24, 10, 1.7, 3))
+    _assert_polished(pb, np.random.default_rng(2).uniform(-5.0, 5.0, pb.p))
+    assert calls == [24] and lstsq_calls == []
+
+
+def test_face_step_takes_the_min_norm_solution_on_a_singular_face():
+    # rank one, and a numerically singular matrix whose Cholesky factor
+    # exists but whose smallest pivot is rounding noise: both go to lstsq
+    a = np.array([1.0, 2.0, -1.0])
+    near = np.outer(a, a) + 1e-15 * np.eye(3)
+    np.linalg.cholesky(near)  # raises if the factor does not exist
+    for M in (np.outer(a, a), near):
+        rhs = M @ np.array([0.3, -0.2, 0.5])
+        expected = np.linalg.lstsq(M, rhs, rcond=None)[0]
+        assert np.array_equal(inner._face_step(M, rhs), expected)
+
+
+def test_singular_faces_keep_the_polish():
+    # with the pivot check off, Cholesky accepts numerically singular faces
+    # on this instance, their steps are rejected and FISTA runs a long tail
+    pb = al.generate(al.BenchmarkSpec("nonneg_lp", 20, 8, 1.0, 4))
+    assert [r.inner_iters for r in al.alm(pb).records] == [122, 25, 10]
 
 
 def test_polish_candidate_outside_the_box_is_rejected():

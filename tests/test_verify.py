@@ -29,39 +29,39 @@ def test_grid_spec_validation():
     assert g.spacing() == pytest.approx([2.0, 2.0])
 
 
-def test_brute_min_parabola():
+def test_brute_min_parabola(brute_min):
     grid = al.GridSpec(np.array([-2.0]), np.array([2.0]), 41)
-    x, v = al.brute_min(lambda P: (P[:, 0] - 1.0) ** 2, grid)
+    x, v = brute_min(lambda P: (P[:, 0] - 1.0) ** 2, grid)
     assert abs(x[0] - 1.0) <= 0.1  # within grid spacing
     assert v <= 0.01
 
 
-def test_brute_min_absolute_value():
+def test_brute_min_absolute_value(brute_min):
     grid = al.GridSpec(np.array([-3.0]), np.array([3.0]), 61)
-    x, v = al.brute_min(lambda P: np.abs(P[:, 0]), grid)
+    x, v = brute_min(lambda P: np.abs(P[:, 0]), grid)
     assert x[0] == 0.0 and v == 0.0
 
 
-def test_brute_min_refinement_beats_grid_spacing():
+def test_brute_min_refinement_beats_grid_spacing(brute_min):
     # off-grid minimum; five refinement rounds should land much closer than
     # the coarse spacing of 0.2
     target = 0.123456
     grid = al.GridSpec(np.array([-2.0]), np.array([2.0]), 21)
-    x, _ = al.brute_min(lambda P: (P[:, 0] - target) ** 2, grid)
+    x, _ = brute_min(lambda P: (P[:, 0] - target) ** 2, grid)
     assert abs(x[0] - target) <= 0.05
 
 
-def test_brute_min_two_dim():
+def test_brute_min_two_dim(brute_min):
     grid = al.GridSpec(np.array([-4.0, -4.0]), np.array([4.0, 4.0]), 81)
-    x, v = al.brute_min(
+    x, v = brute_min(
         lambda P: (P[:, 0] - 1.0) ** 2 + 2.0 * (P[:, 1] + 0.5) ** 2, grid)
     assert np.allclose(x, [1.0, -0.5], atol=0.05)
 
 
-def test_brute_min_all_infinite_raises():
+def test_brute_min_all_infinite_raises(brute_min):
     grid = al.GridSpec(np.array([-1.0]), np.array([1.0]), 11)
     with pytest.raises(al.ValidationError):
-        al.brute_min(lambda P: np.full(P.shape[0], np.inf), grid)
+        brute_min(lambda P: np.full(P.shape[0], np.inf), grid)
 
 
 def test_default_lambda_grid_shape():
