@@ -43,7 +43,6 @@ from .inner import DivergenceDetected, InnerSolution, solve_subproblem
 from .problem import ProblemInstance, aug_lagrangian, lagrangian, operator_norm_sq
 from .verify import (
     Certificate,
-    GridSpec,
     check_concavity,
     check_conjugate_identity,
     check_gradient_fd,
@@ -66,7 +65,7 @@ __all__ = [
     "write_problem", "write_report", "write_trace",
     "DivergenceDetected", "InnerSolution", "solve_subproblem",
     "ProblemInstance", "aug_lagrangian", "lagrangian", "operator_norm_sq",
-    "Certificate", "GridSpec",
+    "Certificate",
     "check_concavity", "check_conjugate_identity", "check_gradient_fd",
     "check_gradient_fd_sampled", "check_gradient_invariance",
     "check_moreau_identity", "check_smoothness", "default_lambda_grid",

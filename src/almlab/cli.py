@@ -149,7 +149,6 @@ def _cmd_solve(args) -> int:
 
 def _run_check(name, pb, args, seed):
     quarter = max(1, args.samples // 4)
-    grid_kw = {}
     if name == "smoothness":
         return _verify.check_smoothness(pb, radius=args.radius, n_pairs=args.samples,
                                         tol_inner=args.inner_tol, seed=seed)
@@ -161,15 +160,11 @@ def _run_check(name, pb, args, seed):
         return _verify.check_concavity(pb, radius=args.radius, n_pairs=quarter,
                                        tol_inner=args.inner_tol, seed=seed)
     if name == "moreau":
-        if args.grid_points is not None:
-            grid_kw["w_grid"] = _verify.GridSpec.cube(pb.p, 10.0, args.grid_points)
-            if pb.d <= 3:
-                grid_kw["x_grid"] = _verify.GridSpec.cube(pb.d, 10.0, args.grid_points)
-        return _verify.check_moreau_identity(pb, tol_inner=args.inner_tol, **grid_kw)
+        return _verify.check_moreau_identity(pb, grid_points=args.grid_points,
+                                             tol_inner=args.inner_tol)
     if name == "conjugate":
-        if args.grid_points is not None and pb.d <= 3:
-            grid_kw["x_grid"] = _verify.GridSpec.cube(pb.d, 10.0, args.grid_points)
-        return _verify.check_conjugate_identity(pb, tol_inner=args.inner_tol, **grid_kw)
+        return _verify.check_conjugate_identity(pb, grid_points=args.grid_points,
+                                                tol_inner=args.inner_tol)
     if name == "invariance":
         return _verify.check_gradient_invariance(pb, tol_inner=args.inner_tol,
                                                  seed=seed)

@@ -33,7 +33,6 @@ from .inner import solve_subproblem
 
 __all__ = [
     "Certificate",
-    "GridSpec",
     "default_lambda_grid",
     "check_smoothness",
     "check_gradient_fd",
@@ -52,7 +51,9 @@ _MIN_DIST_FRAC = 1e-3
 _GRID_BUDGET = 1e-3
 _INIT_BOX = 5.0
 
-# default points per axis for the identity grids (w and x), keyed by dimension
+# every identity grid is a cube [-10, 10]^n; default points per axis for the
+# w and x grids, keyed by dimension n
+_HALF_WIDTH = 10.0
 _GRID_POINTS = {1: 2001, 2: 151, 3: 41}
 
 
@@ -76,48 +77,16 @@ class Certificate:
     details: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True, eq=False)
-class GridSpec:
-    """Axis-aligned evaluation grid: points_per_axis points per coordinate,
+def _cube(ndim, grid_points=None):
+    """Axes of the cube [-10, 10]^ndim with grid_points points per axis, the
+    default for ndim (at most 3) when None; at least 3 points per axis and
     at most 1e7 points in total."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-    points_per_axis: int
-
-    def __post_init__(self):
-        lo = _vector(self.lo, None, "lo")
-        hi = _vector(self.hi, lo.shape[0], "hi")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        if np.any(lo >= hi):
-            raise ValidationError("grid requires lo < hi componentwise")
-        if self.points_per_axis < 3:
-            raise ValidationError("grid needs at least 3 points per axis")
-        if float(self.points_per_axis) ** lo.shape[0] > _MAX_GRID_TOTAL:
-            raise ValidationError("grid exceeds the 1e7 total point guard")
-
-    @property
-    def ndim(self) -> int:
-        return self.lo.shape[0]
-
-    @property
-    def total(self) -> int:
-        return self.points_per_axis ** self.ndim
-
-    def axes(self):
-        return [np.linspace(self.lo[j], self.hi[j], self.points_per_axis)
-                for j in range(self.ndim)]
-
-    def spacing(self) -> np.ndarray:
-        return (self.hi - self.lo) / (self.points_per_axis - 1)
-
-    @staticmethod
-    def cube(ndim, half_width=10.0, points_per_axis=None):
-        if points_per_axis is None:
-            points_per_axis = _GRID_POINTS.get(ndim, 21)
-        return GridSpec(-half_width * np.ones(ndim), half_width * np.ones(ndim),
-                        points_per_axis)
+    points = _GRID_POINTS[ndim] if grid_points is None else grid_points
+    if points < 3:
+        raise ValidationError("grid needs at least 3 points per axis")
+    if float(points) ** ndim > _MAX_GRID_TOTAL:
+        raise ValidationError("grid exceeds the 1e7 total point guard")
+    return [np.linspace(-_HALF_WIDTH, _HALF_WIDTH, points)] * ndim
 
 
 def _grid_chunk(axes, start, stop):
@@ -126,23 +95,24 @@ def _grid_chunk(axes, start, stop):
     return np.stack([axes[j][coords[j]] for j in range(len(axes))], axis=1)
 
 
-def _grid_points(grid):
-    return _grid_chunk(grid.axes(), 0, grid.total)
+def _grid_points(axes):
+    return _grid_chunk(axes, 0, math.prod(len(a) for a in axes))
 
 
-def _refine(objective, grid, best_x, best_val):
-    """Local refinement of a grid incumbent (best_x, best_val = objective there).
+def _refine(objective, axes, best_x, best_val):
+    """Local refinement of an incumbent (best_x, best_val = objective there)
+    of the grid with the given evenly spaced axes.
 
     Each of five rounds re-grids a 5-point-per-axis neighborhood of the
     incumbent at the current spacing, clipped to the grid box, then halves
     the spacing.  Returns the improved (argmin, min value).
     """
-    n = grid.ndim
+    n = len(axes)
     offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-    spacing = grid.spacing()
+    spacing = np.array([(a[-1] - a[0]) / (len(a) - 1) for a in axes])
     for _ in range(_REFINE_ROUNDS):
         local_axes = [
-            np.clip(best_x[j] + spacing[j] * offsets, grid.lo[j], grid.hi[j])
+            np.clip(best_x[j] + spacing[j] * offsets, axes[j][0], axes[j][-1])
             for j in range(n)
         ]
         pts = _grid_chunk(local_axes, 0, 5 ** n)
@@ -345,15 +315,14 @@ def _pd_quadratic(pb):
     return None
 
 
-def _f_on_grid(pb, x_grid):
-    """The x grid (default: the cube for pb.d), its points X and f(X)."""
-    if x_grid is None:
-        x_grid = GridSpec.cube(pb.d)
-    X = _grid_points(x_grid)
+def _f_on_grid(pb, grid_points):
+    """The axes of the x cube for pb.d, its points X and f(X)."""
+    axes = _cube(pb.d, grid_points)
+    X = _grid_points(axes)
     fX = pb.f.value_batch(X)
     if not np.any(np.isfinite(fX)):
         raise ValidationError("f is +inf on the entire x grid")
-    return x_grid, X, fX
+    return axes, X, fX
 
 
 class _StandardDualOracle:
@@ -363,10 +332,11 @@ class _StandardDualOracle:
     (``f.has_conjugate()``).  Otherwise phi is the minimum over an x grid
     (d <= 3), which truncates unbounded directions at the box edge, so a w
     with phi(w) = -inf comes back merely very negative.  A curved f at
-    d >= 2 needs an x_grid passed in: the default one is too coarse for it.
+    d >= 2 needs grid_points passed in: the default x grid is too coarse
+    for it.
     """
 
-    def __init__(self, pb, x_grid=None):
+    def __init__(self, pb, grid_points=None):
         self.pb = pb
         self.exact = pb.f.has_conjugate()
         if self.exact:
@@ -377,12 +347,12 @@ class _StandardDualOracle:
             )
         quads = [atom for atom, _ in pb.f.blocks if isinstance(atom, Quadratic)]
         quads += [] if pb.f.smooth_quad is None else [pb.f.smooth_quad]
-        if x_grid is None and pb.d >= 2 and any(qd.curvature() > 0.0 for qd in quads):
+        if grid_points is None and pb.d >= 2 and any(qd.curvature() > 0.0 for qd in quads):
             raise ValidationError(
                 "the default x grid is too coarse for a curved f at d >= 2; "
-                "pass a finer x_grid (--grid-points)"
+                "pass a finer grid_points (--grid-points)"
             )
-        _, X, self.fX = _f_on_grid(pb, x_grid)
+        _, X, self.fX = _f_on_grid(pb, grid_points)
         self.R = X @ pb.A.T - pb.b
 
     def batch(self, W) -> np.ndarray:
@@ -411,37 +381,37 @@ def _lattice_certificate(check_name, pb, tol_inner, residual, label, details):
                         0, {"grid_budget": _GRID_BUDGET, "inner_term": 3.0 * tol_inner, **details})
 
 
-def check_moreau_identity(pb, w_grid=None, x_grid=None, tol_inner=1e-8) -> Certificate:
+def check_moreau_identity(pb, grid_points=None, tol_inner=1e-8) -> Certificate:
     """Moreau-envelope form of the augmented dual.
 
     With phi the plain dual, the envelope  min_w [-phi(w) + ||w-lam||^2/(2 rho)]
     must equal minus the augmented dual value at each lam of the integer
-    lattice {-3..3}^p.  The envelope is taken by brute force over w_grid
-    (p <= 3), refined around the incumbent by :func:`_refine`.  phi is exact,
-    -f*(-A'w) - w'b with true -inf, whenever f has a closed-form conjugate:
-    box, nonneg, l1 with positive weight, l2ball and positive-definite
-    quadratic atoms, plus a quadratic term with q and c only.  A dense
-    quadratic term, or a zero, linear, weight-0 l1 or singular quadratic
-    atom, falls back to the minimum over x_grid, which needs d <= 3; x_grid
-    is unused otherwise.  Grid points with phi(w) = -inf are skipped and
-    counted.
+    lattice {-3..3}^p.  The envelope is taken by brute force over the w cube
+    [-10, 10]^p (p <= 3), refined around the incumbent by :func:`_refine`.
+    phi is exact, -f*(-A'w) - w'b with true -inf, whenever f has a
+    closed-form conjugate: box, nonneg, l1 with positive weight, l2ball and
+    positive-definite quadratic atoms, plus a quadratic term with q and c
+    only.  A dense quadratic term, or a zero, linear, weight-0 l1 or
+    singular quadratic atom, falls back to the minimum over the x cube
+    [-10, 10]^d, which needs d <= 3; no x grid is built otherwise.  Grid
+    points with phi(w) = -inf are skipped and counted.
 
-    The threshold is 1e-3 + 3 * tol_inner; 1e-3 is the resolution budget the
-    default grids meet on boxes of half-width 10, not a per-instance error
-    bound, so a coarser w_grid or x_grid may fail honestly.  The default x
-    grid meets it only for polyhedral f or d = 1, since its spacing leaves
-    an O(h^2 ||Q||) error in a curved phi (2.85e-3 on a curved f at d = 2),
-    so a curved f at d >= 2 raises ValidationError unless x_grid is passed.
-    A dual domain thin against the w-grid spacing can fail on resolution
-    alone.
+    grid_points sets the points per axis of every grid the check builds;
+    None takes the default for each grid's dimension.  The threshold is
+    1e-3 + 3 * tol_inner; 1e-3 is the resolution budget the default grids
+    meet, not a per-instance error bound, so a coarser grid may fail
+    honestly.  The default x grid meets it only for polyhedral f or d = 1,
+    since its spacing leaves an O(h^2 ||Q||) error in a curved phi (2.85e-3
+    on a curved f at d = 2), so a curved f at d >= 2 raises ValidationError
+    unless grid_points is passed.  A dual domain thin against the w-grid
+    spacing can fail on resolution alone.
     """
     if pb.p > 3:
         raise ValidationError("moreau check needs p <= 3")
-    oracle = _StandardDualOracle(pb, x_grid)
-    if w_grid is None:
-        w_grid = GridSpec.cube(pb.p)
+    w_axes = _cube(pb.p, grid_points)
+    oracle = _StandardDualOracle(pb, grid_points)
 
-    W = _grid_points(w_grid)
+    W = _grid_points(w_axes)
     negphi = -oracle.batch(W)
     skipped = int(np.sum(np.isposinf(negphi)))
     if not np.any(np.isfinite(negphi)):
@@ -455,24 +425,25 @@ def check_moreau_identity(pb, w_grid=None, x_grid=None, tol_inner=1e-8) -> Certi
 
         vals = envelope(W, negphi)
         i = int(np.argmin(vals))
-        _, best_val = _refine(lambda P: envelope(P, -oracle.batch(P)), w_grid,
+        _, best_val = _refine(lambda P: envelope(P, -oracle.batch(P)), w_axes,
                               W[i], float(vals[i]))
         return best_val + sol.obj_value
 
-    details = {"skipped_neg_inf": skipped, "w_points_per_axis": w_grid.points_per_axis,
+    details = {"skipped_neg_inf": skipped, "w_points_per_axis": len(w_axes[0]),
                "closed_form_dual": oracle.exact}
     return _lattice_certificate("moreau", pb, tol_inner, envelope_plus_dual,
                                 "envelope + dual", details)
 
 
-def check_conjugate_identity(pb, x_grid=None, tol_inner=1e-8) -> Certificate:
+def check_conjugate_identity(pb, grid_points=None, tol_inner=1e-8) -> Certificate:
     """Conjugate form of the augmented dual.
 
     With f_rho = f + (rho/2)||A . - b||^2, the augmented dual value must equal
     -f_rho*(-A'lam) - lam'b at each lam of the integer lattice {-3..3}^p.
-    The conjugate is closed form when f is a positive-definite quadratic;
-    otherwise f_rho*(y) = -min_x [f_rho(x) - x'y], minimized over x_grid
-    (d <= 3) and refined by :func:`_refine`.  Threshold as in
+    The conjugate is closed form when f is a positive-definite quadratic,
+    and no grid is built; otherwise f_rho*(y) = -min_x [f_rho(x) - x'y],
+    minimized over the x cube [-10, 10]^d (d <= 3) with grid_points per axis
+    and refined by :func:`_refine`.  grid_points and the threshold are as in
     check_moreau_identity.
     """
     atom = _pd_quadratic(pb)
@@ -490,7 +461,7 @@ def check_conjugate_identity(pb, x_grid=None, tol_inner=1e-8) -> Certificate:
 
         x_points = None
     else:
-        x_grid, X, fX = _f_on_grid(pb, x_grid)
+        x_axes, X, fX = _f_on_grid(pb, grid_points)
 
         def penalty(P):
             return 0.5 * pb.rho * np.sum((P @ pb.A.T - pb.b) ** 2, axis=1)
@@ -501,10 +472,10 @@ def check_conjugate_identity(pb, x_grid=None, tol_inner=1e-8) -> Certificate:
             vals = frhoX - X @ y
             i = int(np.argmin(vals))
             _, best = _refine(lambda P: pb.f.value_batch(P) + penalty(P) - P @ y,
-                              x_grid, X[i], float(vals[i]))
+                              x_axes, X[i], float(vals[i]))
             return -best
 
-        x_points = x_grid.points_per_axis
+        x_points = len(x_axes[0])
 
     def dual_plus_conjugate(lam, sol):
         return sol.obj_value + f_rho_star(-(pb.A.T @ lam)) + float(lam @ pb.b)

@@ -23,25 +23,26 @@ def brute_min():
     """Exhaustive grid minimization with local refinement, as an oracle that
     shares no code with the inner solver.
 
-    objective must accept an (N, n) batch of points and return N values
-    (+inf allowed).  The full scan of the grid is followed by the
-    identity checks' refinement (verify._refine).  Returns (argmin, min
-    value); raises ValidationError when the objective is +inf on the whole
-    grid.
+    objective must accept an (N, ndim) batch of points and return N values
+    (+inf allowed).  The grid is the cube [-half_width, half_width]^ndim with
+    points per axis.  The full scan of the grid is followed by the identity
+    checks' refinement (verify._refine).  Returns (argmin, min value);
+    raises ValidationError when the objective is +inf on the whole grid.
     """
-    def minimize(objective, grid):
-        axes = grid.axes()
+    def minimize(objective, half_width, points, ndim=1):
+        axes = [np.linspace(-half_width, half_width, points)] * ndim
+        total = points ** ndim
         best_val, best_x = math.inf, None
         chunk = 200_000
-        for start in range(0, grid.total, chunk):
-            pts = _grid_chunk(axes, start, min(start + chunk, grid.total))
+        for start in range(0, total, chunk):
+            pts = _grid_chunk(axes, start, min(start + chunk, total))
             vals = np.asarray(objective(pts), dtype=float)
             i = int(np.argmin(vals))
             if vals[i] < best_val:
                 best_val, best_x = float(vals[i]), pts[i].copy()
         if best_x is None or not math.isfinite(best_val):
             raise al.ValidationError("objective is +inf on the entire grid")
-        return _refine(objective, grid, best_x, best_val)
+        return _refine(objective, axes, best_x, best_val)
     return minimize
 
 

@@ -93,10 +93,9 @@ def test_c04_moreau_and_conjugate_identities(qp_scalar, p_rank):
         ("rank_2x2", p_rank(1.0), {}),
         ("qp_3x2", al.generate(al.BenchmarkSpec("qp", 3, 2, 1.0, 6)), {}),
         # for lam in {-3, -2, -1} the envelope minimizer sits on the dual
-        # domain's edge w = -1.23546; the refinement depth resolves it, not
-        # the grid: three rounds leave ~1.1e-3 at 2001 and at 4001 points
+        # domain's edge w = -1.23546
         ("nonneg_lp_2x1", al.generate(al.BenchmarkSpec("nonneg_lp", 2, 1, 1.0, 0)),
-         {"w_grid": al.GridSpec.cube(1, 10.0, 4001)}),
+         {"grid_points": 4001}),
     ]
     for name, pb, moreau_kw in instances:
         m = al.check_moreau_identity(pb, tol_inner=1e-8, **moreau_kw)

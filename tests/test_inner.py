@@ -172,8 +172,7 @@ def test_brute_min_cross_checks_inner_solver(p_box, brute_min):
         r = pts @ pb.A.T - pb.b
         return vals + (r @ lam) + 0.5 * pb.rho * np.sum(r * r, axis=1)
 
-    grid = al.GridSpec(np.array([-10.0]), np.array([10.0]), 2001)
-    x_star, val = brute_min(objective, grid)
+    x_star, val = brute_min(objective, 10.0, 2001)
     sol = al.solve_subproblem(pb, lam, 1e-10)
     assert abs(val - sol.obj_value) <= 1e-3
     assert abs(x_star[0] - sol.x_plus[0]) <= 1e-2

@@ -17,28 +17,24 @@ def assert_consistent(cert):
 # grids and brute force
 
 
-def test_grid_spec_validation():
-    with pytest.raises(al.ValidationError):
-        al.GridSpec(np.array([1.0]), np.array([1.0]), 11)
-    with pytest.raises(al.ValidationError):
-        al.GridSpec(np.array([0.0]), np.array([1.0]), 2)
-    with pytest.raises(al.ValidationError):
-        al.GridSpec(np.zeros(4), np.ones(4), 101)  # 101^4 > 1e7
-    g = al.GridSpec.cube(2, 10.0, 11)
-    assert g.total == 121
-    assert g.spacing() == pytest.approx([2.0, 2.0])
+def test_grid_points_validation():
+    # at p = d = 3 moreau builds a 3-D w grid and conjugate a 3-D x grid
+    pb = al.generate(al.BenchmarkSpec("nonneg_lp", 3, 3, 1.0, 0))
+    for check in (al.check_moreau_identity, al.check_conjugate_identity):
+        with pytest.raises(al.ValidationError, match="at least 3 points"):
+            check(pb, grid_points=2)
+        with pytest.raises(al.ValidationError, match="1e7 total point guard"):
+            check(pb, grid_points=216)  # 216^3 > 1e7
 
 
 def test_brute_min_parabola(brute_min):
-    grid = al.GridSpec(np.array([-2.0]), np.array([2.0]), 41)
-    x, v = brute_min(lambda P: (P[:, 0] - 1.0) ** 2, grid)
+    x, v = brute_min(lambda P: (P[:, 0] - 1.0) ** 2, 2.0, 41)
     assert abs(x[0] - 1.0) <= 0.1  # within grid spacing
     assert v <= 0.01
 
 
 def test_brute_min_absolute_value(brute_min):
-    grid = al.GridSpec(np.array([-3.0]), np.array([3.0]), 61)
-    x, v = brute_min(lambda P: np.abs(P[:, 0]), grid)
+    x, v = brute_min(lambda P: np.abs(P[:, 0]), 3.0, 61)
     assert x[0] == 0.0 and v == 0.0
 
 
@@ -46,22 +42,19 @@ def test_brute_min_refinement_beats_grid_spacing(brute_min):
     # off-grid minimum; five refinement rounds should land much closer than
     # the coarse spacing of 0.2
     target = 0.123456
-    grid = al.GridSpec(np.array([-2.0]), np.array([2.0]), 21)
-    x, _ = brute_min(lambda P: (P[:, 0] - target) ** 2, grid)
+    x, _ = brute_min(lambda P: (P[:, 0] - target) ** 2, 2.0, 21)
     assert abs(x[0] - target) <= 0.05
 
 
 def test_brute_min_two_dim(brute_min):
-    grid = al.GridSpec(np.array([-4.0, -4.0]), np.array([4.0, 4.0]), 81)
     x, v = brute_min(
-        lambda P: (P[:, 0] - 1.0) ** 2 + 2.0 * (P[:, 1] + 0.5) ** 2, grid)
+        lambda P: (P[:, 0] - 1.0) ** 2 + 2.0 * (P[:, 1] + 0.5) ** 2, 4.0, 81, ndim=2)
     assert np.allclose(x, [1.0, -0.5], atol=0.05)
 
 
 def test_brute_min_all_infinite_raises(brute_min):
-    grid = al.GridSpec(np.array([-1.0]), np.array([1.0]), 11)
     with pytest.raises(al.ValidationError):
-        brute_min(lambda P: np.full(P.shape[0], np.inf), grid)
+        brute_min(lambda P: np.full(P.shape[0], np.inf), 1.0, 11)
 
 
 def test_default_lambda_grid_shape():
@@ -243,11 +236,11 @@ def _c04_instances(qp_scalar):
 def test_exact_plain_dual_is_below_x_grid_minimum(qp_scalar):
     # phi(w) is an infimum over all x, so it can only lie below the minimum
     # over any x grid; an 11-point grid keeps the reference scan small
-    from almlab.verify import _StandardDualOracle, _f_on_grid, _grid_points
+    from almlab.verify import _StandardDualOracle, _cube, _f_on_grid, _grid_points
     for pb in _c04_instances(qp_scalar):
-        W = _grid_points(al.GridSpec.cube(pb.p))
+        W = _grid_points(_cube(pb.p))
         exact = _StandardDualOracle(pb).batch(W)
-        _, X, fX = _f_on_grid(pb, al.GridSpec.cube(pb.d, 10.0, 11))
+        _, X, fX = _f_on_grid(pb, 11)
         R = X @ pb.A.T - pb.b
         grid = np.concatenate([np.min(fX[None, :] + W[i:i + 1000] @ R.T, axis=1)
                                for i in range(0, W.shape[0], 1000)])
@@ -256,7 +249,7 @@ def test_exact_plain_dual_is_below_x_grid_minimum(qp_scalar):
 
 
 def test_moreau_builds_no_x_grid_on_the_families(monkeypatch, qp_scalar):
-    def no_grid(pb, x_grid):
+    def no_grid(pb, grid_points):
         raise AssertionError("x grid built")
 
     monkeypatch.setattr("almlab.verify._f_on_grid", no_grid)
