@@ -20,7 +20,14 @@ they evaluate objectives on explicit grids and never call the inner solver,
 so a certificate failure points at a real defect (or an inadequate grid, for
 the grid-based identities).  The closed-form conjugates of the atoms, which
 the moreau check uses for the plain dual, are solver-independent oracles in
-the same sense: exact formulas that share no code with the inner solve.
+the same sense: exact formulas that share no code with the inner solve.  The
+one solver output an oracle reads is the moreau check's extra candidate
+point w*, which can only lower an upper bound on the envelope and so cannot
+hide an error in the dual value (see check_moreau_identity).
+
+The identity checks own their grids: each is a cube [-10, 10]^n, and the one
+size a caller may set, grid_points, is the points per axis of every grid the
+check builds.
 """
 
 import math
@@ -396,15 +403,24 @@ def check_moreau_identity(pb, grid_points=None, tol_inner=1e-8) -> Certificate:
     [-10, 10]^d, which needs d <= 3; no x grid is built otherwise.  Grid
     points with phi(w) = -inf are skipped and counted.
 
+    On the exact route the envelope is also scored at the ALM point
+    w* = lam + rho (A x+ - b) of the lattice solve, its minimizer, and the
+    smaller value is kept.  This cannot hide an error: every candidate w
+    bounds the envelope from above, and obj_value bounds the augmented dual
+    value from above, so the measured violation is (estimate - envelope) +
+    (obj_value - phi_rho), a sum of two terms that are nonnegative up to
+    rounding and the box conjugate's slack.  The candidate removes the grid
+    error on dual domains thin against the w-grid spacing, such as those of
+    l1 and nonneg atoms at p >= 2, which the grid alone misread by up to 0.47.
+
     grid_points sets the points per axis of every grid the check builds;
     None takes the default for each grid's dimension.  The threshold is
     1e-3 + 3 * tol_inner; 1e-3 is the resolution budget the default grids
     meet, not a per-instance error bound, so a coarser grid may fail
-    honestly.  The default x grid meets it only for polyhedral f or d = 1,
-    since its spacing leaves an O(h^2 ||Q||) error in a curved phi (2.85e-3
-    on a curved f at d = 2), so a curved f at d >= 2 raises ValidationError
-    unless grid_points is passed.  A dual domain thin against the w-grid
-    spacing can fail on resolution alone.
+    honestly on the x-grid route.  The default x grid meets it only for
+    polyhedral f or d = 1, since its spacing leaves an O(h^2 ||Q||) error in
+    a curved phi (2.85e-3 on a curved f at d = 2), so a curved f at d >= 2
+    raises ValidationError unless grid_points is passed.
     """
     if pb.p > 3:
         raise ValidationError("moreau check needs p <= 3")
@@ -427,6 +443,9 @@ def check_moreau_identity(pb, grid_points=None, tol_inner=1e-8) -> Certificate:
         i = int(np.argmin(vals))
         _, best_val = _refine(lambda P: envelope(P, -oracle.batch(P)), w_axes,
                               W[i], float(vals[i]))
+        if oracle.exact:
+            w_star = (lam + pb.rho * sol.constraint_map)[None, :]
+            best_val = min(best_val, float(envelope(w_star, -oracle.batch(w_star))[0]))
         return best_val + sol.obj_value
 
     details = {"skipped_neg_inf": skipped, "w_points_per_axis": len(w_axes[0]),

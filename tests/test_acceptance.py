@@ -93,7 +93,9 @@ def test_c04_moreau_and_conjugate_identities(qp_scalar, p_rank):
         ("rank_2x2", p_rank(1.0), {}),
         ("qp_3x2", al.generate(al.BenchmarkSpec("qp", 3, 2, 1.0, 6)), {}),
         # for lam in {-3, -2, -1} the envelope minimizer sits on the dual
-        # domain's edge w = -1.23546
+        # domain's edge w = -1.23546; the grid's five refinement rounds leave
+        # 3.6e-4 there at 2001 and at 4001 points, and the ALM point w*
+        # scores it to rounding
         ("nonneg_lp_2x1", al.generate(al.BenchmarkSpec("nonneg_lp", 2, 1, 1.0, 0)),
          {"grid_points": 4001}),
     ]

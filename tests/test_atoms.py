@@ -356,11 +356,15 @@ def test_fenchel_young_inequality_at_sampled_points():
 
 def test_box_conjugate_at_zero_with_infinite_bounds():
     box = al.Box(np.array([-np.inf, 0.0, -np.inf]), np.array([np.inf, np.inf, 1.0]))
+    # the last three rows: rounding-sized entries against an infinite bound
+    # take the bound 0, against a finite one they keep their value, and an
+    # entry beyond the 1e-12 slack meets the infinite bound
     Y = np.array([[0.0, 0.0, 0.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0],
-                  [0.0, 0.0, 2.0], [0.0, 0.0, -1.0]])
+                  [0.0, 0.0, 2.0], [0.0, 0.0, -1.0],
+                  [1e-13, 0.0, -1e-13], [0.0, 0.0, 1e-13], [1e-11, 0.0, 0.0]])
     with np.errstate(all="raise"):
         got = box.conjugate_batch(Y)
-    assert np.array_equal(got, [0.0, 0.0, np.inf, 2.0, np.inf])
+    assert np.array_equal(got, [0.0, 0.0, np.inf, 2.0, np.inf, 0.0, 1e-13, np.inf])
 
 
 # ---------------------------------------------------------------------------

@@ -304,26 +304,31 @@ def test_verify_invariance_holds_at_tight_inner_tol(tmp_path, capsys, monkeypatc
     assert rc == 0
 
 
-def test_verify_coarse_grid_fails_honestly(tight_file, tmp_path, capsys):
-    # 5 points per axis cannot resolve the envelope to the 1e-3 budget; the
-    # certificate must report the failure and the command must exit 4
+def _curved_file(tmp_path, Q):
+    # nonneg plus a dense quadratic term: moreau falls back to the x grid
+    d = Q.shape[0]
+    f = al.CompositeFunction.single(al.Nonneg(d), smooth_quad=al.SmoothQuadratic(d, Q=Q))
+    pb = al.ProblemInstance(f, np.ones((1, d)), np.ones(1), 1.0, name=f"curved_d{d}")
+    path = tmp_path / "curved.json"
+    al.write_problem(pb, str(path))
+    return str(path)
+
+
+def _curved_d2_file(tmp_path):
+    return _curved_file(tmp_path, np.array([[1.0, 0.5], [0.5, 1.0]]))
+
+
+def test_verify_coarse_grid_fails_honestly(tmp_path, capsys):
+    # 5 points per axis cannot resolve the envelope to the 1e-3 budget on
+    # the x-grid route (it reads 2.96); the certificate must report the
+    # failure and the command must exit 4
     report = tmp_path / "report.json"
-    rc = main(["verify", tight_file, "--checks", "moreau", "--grid-points", "5",
-               "--report-out", str(report)])
+    rc = main(["verify", _curved_file(tmp_path, np.array([[1.7]])), "--checks", "moreau",
+               "--grid-points", "5", "--report-out", str(report)])
     assert rc == 4
     assert "FAIL" in capsys.readouterr().out
     docs = json.loads(read_bytes(report))
     assert docs[0]["pass"] is False
-
-
-def _curved_d2_file(tmp_path):
-    # nonneg plus a dense quadratic term: moreau falls back to the x grid
-    Q = np.array([[1.0, 0.5], [0.5, 1.0]])
-    f = al.CompositeFunction.single(al.Nonneg(2), smooth_quad=al.SmoothQuadratic(2, Q=Q))
-    pb = al.ProblemInstance(f, np.ones((1, 2)), np.ones(1), 1.0, name="curved_d2")
-    path = tmp_path / "curved.json"
-    al.write_problem(pb, str(path))
-    return str(path)
 
 
 def test_verify_moreau_refuses_the_default_x_grid_on_a_curved_f(tmp_path, capsys):
@@ -337,6 +342,36 @@ def test_verify_moreau_passes_a_curved_f_on_a_finer_grid(tmp_path, capsys):
                "--grid-points", "301"])
     assert "moreau: PASS" in capsys.readouterr().out
     assert rc == 0
+
+
+def _bench_file(tmp_path, family, d, p, seed):
+    path = tmp_path / f"{family}_d{d}_p{p}_seed{seed}.json"
+    assert main(["bench", "--family", family, "--d", str(d), "--p", str(p),
+                 "--seed", str(seed), "--out", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("family, seed, checks", [
+    ("qp", 6, "moreau,conjugate"), ("basis_pursuit", 0, "moreau")])
+def test_verify_grid_points_sizes_only_the_grids_a_check_builds(tmp_path, family, seed,
+                                                               checks):
+    # a 301^3 x grid would exceed the 1e7 cap, but neither check builds one
+    # here: moreau has the closed-form plain dual, and conjugate on qp the
+    # positive-definite-quadratic route
+    rc = main(["verify", _bench_file(tmp_path, family, 3, 2, seed), "--checks", checks,
+               "--grid-points", "301"])
+    assert rc == 0
+
+
+def test_verify_grid_points_matches_the_library_call(tmp_path):
+    # d = 6 with a closed-form plain dual: moreau builds only its w grid
+    path = _bench_file(tmp_path, "qp", 6, 2, 1)
+    cli_report, lib_report = tmp_path / "cli.json", tmp_path / "lib.json"
+    assert main(["verify", path, "--checks", "moreau", "--grid-points", "101",
+                 "--report-out", str(cli_report)]) == 0
+    al.write_report([al.check_moreau_identity(al.read_problem(path), grid_points=101)],
+                    str(lib_report))
+    assert read_bytes(lib_report) == read_bytes(cli_report)
 
 
 @pytest.mark.parametrize("argv", [
