@@ -118,13 +118,18 @@ def _build_parser():
 
 
 def _env_seed(seed):
+    """ALMLAB_SEED when set, else the --seed value; a nonnegative integer."""
     raw = os.environ.get("ALMLAB_SEED")
-    if raw is None or raw == "":
-        return seed
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(f"ALMLAB_SEED must be an integer, got {raw!r}")
+    source = "--seed"
+    if raw is not None and raw != "":
+        source = "ALMLAB_SEED"
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ValidationError(f"ALMLAB_SEED must be an integer, got {raw!r}")
+    if seed < 0:
+        raise ValidationError(f"{source} must be a nonnegative integer, got {seed}")
+    return seed
 
 
 def _cmd_solve(args) -> int:

@@ -97,6 +97,9 @@ class SolveTrace:
     terminated_reason: str
 
 
+# the norm of a huge multiplier overflows to inf, which the divergence tests
+# here and in the inner solve read
+@np.errstate(over="ignore")
 def _run_outer(pb, lam0, settings, accelerated):
     if settings is None:
         settings = OuterSettings()

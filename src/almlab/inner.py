@@ -105,6 +105,8 @@ class InnerSolution:
     polished: bool
 
 
+# iterates that blow up overflow before the divergence test reports them
+@np.errstate(over="ignore")
 def solve_subproblem(pb, lam, tol, x0=None, max_iter=100_000) -> InnerSolution:
     """Minimize the augmented Lagrangian over x at fixed lam.
 

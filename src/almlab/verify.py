@@ -186,6 +186,8 @@ def _certificate(check_name, pb, num_samples, entries, threshold, rng_seed, deta
                        worst <= threshold, [w for _, w in ranked[:5]], rng_seed, details)
 
 
+# a pair distance may overflow to inf; the solves at the pair then diverge
+@np.errstate(over="ignore")
 def check_smoothness(pb, radius=10.0, n_pairs=200, tol_inner=1e-8,
                      seed=0) -> Certificate:
     """Sampled gradient-Lipschitz check: the dual gradient must be 1/rho-Lipschitz.

@@ -363,6 +363,28 @@ def test_verify_grid_points_sizes_only_the_grids_a_check_builds(tmp_path, family
     assert rc == 0
 
 
+@pytest.mark.parametrize("args", [
+    ["solve", "--lam0", "1e300,0"],
+    ["verify", "--checks", "smoothness", "--samples", "2", "--radius", "1e200"],
+    ["verify", "--checks", "gradient_fd", "--samples", "4", "--fd-h", "1e300"]])
+def test_huge_finite_inputs_diverge_without_overflow_warnings(tmp_path, capsys, args):
+    # the suite turns a RuntimeWarning into an error, so an overflow warning
+    # would raise out of main
+    rc = main([args[0], _bench_file(tmp_path, "qp", 3, 2, 0), *args[1:]])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_verify_negative_seed_names_its_source(tight_file, capsys, monkeypatch):
+    monkeypatch.delenv("ALMLAB_SEED", raising=False)
+    assert main(["verify", tight_file, "--seed", "-1"]) == 1
+    assert "error: --seed must be a nonnegative integer" in capsys.readouterr().err
+    monkeypatch.setenv("ALMLAB_SEED", "-1")
+    assert main(["verify", tight_file]) == 1
+    assert "error: ALMLAB_SEED must be a nonnegative integer" in capsys.readouterr().err
+
+
 def test_verify_grid_points_matches_the_library_call(tmp_path):
     # d = 6 with a closed-form plain dual: moreau builds only its w grid
     path = _bench_file(tmp_path, "qp", 6, 2, 1)
