@@ -213,8 +213,6 @@ class Box(Atom):
         self.hi = hi
         self.lo.setflags(write=False)
         self.hi.setflags(write=False)
-        # conjugate_batch reads a y_i within the ball slack of 0 as 0 where
-        # its bound is infinite: such a y_i is 0 up to rounding
         self._hi_cut = np.where(hi == np.inf, _BALL_SLACK, 0.0)
         self._lo_cut = np.where(lo == -np.inf, -_BALL_SLACK, 0.0)
 
@@ -231,8 +229,8 @@ class Box(Atom):
 
     def conjugate_batch(self, Y):
         # support function sum_i max(y_i lo_i, y_i hi_i); y_i = 0, and a y_i
-        # within the ball slack of 0 against an infinite bound, takes the
-        # bound 0, so an infinite bound never meets a zero
+        # within the ball slack of 0 (rounding) against an infinite bound,
+        # takes the bound 0, so an infinite bound never meets a zero
         bound = np.where(Y > self._hi_cut, self.hi, np.where(Y < self._lo_cut, self.lo, 0.0))
         return np.sum(bound * Y, axis=1)
 

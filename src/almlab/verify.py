@@ -24,10 +24,6 @@ the same sense: exact formulas that share no code with the inner solve.  The
 one solver output an oracle reads is the moreau check's extra candidate
 point w*, which can only lower an upper bound on the envelope and so cannot
 hide an error in the dual value (see check_moreau_identity).
-
-The identity checks own their grids: each is a cube [-10, 10]^n, and the one
-size a caller may set, grid_points, is the points per axis of every grid the
-check builds.
 """
 
 import math
